@@ -22,7 +22,11 @@ class ModelBreakdownError(FockmetError):
 
 
 class StepSizeError(FockmetError):
-    """Integrator step size violates the stability bound."""
+    """Integrator step size violates the stability bound.
+
+    Nothing in the package raises it: open-system propagation is exact and
+    has no step size.  The name stays importable for existing callers.
+    """
 
 
 class ConfigError(FockmetError):
