@@ -26,8 +26,9 @@ def main() -> None:
     grid = np.linspace(0.0, 1.0, args.points)
     print(f"{'N':>4} {'delta_beta':>12} {'std_err':>10} {'gain_dB':>9}")
     for n in args.n_values:
-        pg = np.array([parity_curve_ideal(n, float(b)) for b in grid])
-        record = ShotRecord(grid=grid, pg=pg, shots=args.shots, model=Parameter.BETA, N=n)
+        record = ShotRecord(
+            grid=grid, pg=parity_curve_ideal(n, grid), shots=args.shots, model=Parameter.BETA, N=n
+        )
         mean, std = bootstrap_precision(record, resamples=args.resamples, seed=args.seed)
         gain = gain_db_from_precision(0.5, mean)
         print(f"{n:>4} {mean:>12.5f} {std:>10.5f} {gain:>9.2f}")

@@ -1,9 +1,10 @@
 """Batch experiment runner: config ingestion, sweeps, CSV/JSON emission.
 
-One experiment per invocation.  Sweep points are dispatched to a thread
-pool but sampling and file writing happen in grid order in the collector,
-so identical configs produce byte-identical outputs regardless of thread
-count.
+One experiment per invocation, computed in a single thread.  The closed-form
+sweeps evaluate their whole grid in one array call.  Shot noise is drawn
+from one generator per run, seeded from the config, in grid order, so
+identical configs produce byte-identical outputs.  ``--threads`` is
+accepted for compatibility and changes nothing.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import dataclasses
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,15 +32,17 @@ from .composite import (
     sinusoidal_filter,
     prepare_fock,
 )
-from .errors import ConfigError
+from .errors import ConfigError, FockmetError
 from .estimation import fit_ramsey_frequency, fit_scaling_exponent
-from .fockspace import (
-    coherent_state,
-    default_spec,
-    fock_state,
-    wigner_value,
+from .fockspace import coherent_state, default_spec
+from .fockspace import wigner_value  # noqa: F401  bench/test_bench.py reads cli.wigner_value
+from .metrology import (
+    cfi_of_curve,
+    parity_curve_deriv,
+    parity_curve_ideal,
+    parity_shape,
+    phase_curve_ideal,
 )
-from .metrology import parity_curve_deriv, parity_curve_ideal, phase_curve_ideal, cfi_of_curve
 from .noise import toy_model
 
 OUTDIR_ENV = "FOCKMET_OUTDIR"
@@ -73,6 +75,22 @@ def _require_keys(mapping: dict, allowed: set[str], context: str) -> None:
     for key in mapping:
         if key not in allowed:
             raise ConfigError(f"{context}.{key}", "unknown field")
+
+
+def _is_int(value) -> bool:
+    """YAML ``true`` loads as a bool, which Python counts as the int 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _reject_booleans(value, context: str) -> None:
+    if isinstance(value, bool):
+        raise ConfigError(context, "must be a number, not a boolean")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_booleans(item, f"{context}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_booleans(item, f"{context}[{i}]")
 
 
 def _range_from(entry, context: str) -> np.ndarray:
@@ -108,14 +126,15 @@ def load_config(path: str | Path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError("device", str(exc)) from exc
     shots = raw.get("shots")
-    if shots is not None and (not isinstance(shots, int) or shots <= 0):
+    if shots is not None and (not _is_int(shots) or shots <= 0):
         raise ConfigError("shots", "must be a positive integer or null")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise ConfigError("seed", "must be an integer")
     grids = raw.get("grids") or {}
     if not isinstance(grids, dict):
         raise ConfigError("grids", "must be a mapping")
+    _reject_booleans(grids, "grids")
     return RunConfig(
         experiment=experiment,
         grids=grids,
@@ -156,10 +175,10 @@ def _provenance(config: RunConfig, dims: list[int], extra: list[str] | None = No
     return lines
 
 
-def _sample(probabilities: np.ndarray, config: RunConfig) -> np.ndarray:
+def _sample(probabilities: np.ndarray, config: RunConfig, rng: np.random.Generator) -> np.ndarray:
+    """Binomial shot noise drawn from the run's generator; exact when shots is null."""
     if config.shots is None:
         return probabilities
-    rng = np.random.default_rng(config.seed)
     return rng.binomial(config.shots, np.clip(probabilities, 0.0, 1.0)) / config.shots
 
 
@@ -189,18 +208,17 @@ def _grid_int(grids: dict, key: str, context: str) -> int:
     if key not in grids:
         raise ConfigError(f"{context}.{key}", "missing")
     value = grids[key]
-    if not isinstance(value, int) or value < 0:
+    if not _is_int(value) or value < 0:
         raise ConfigError(f"{context}.{key}", "must be a non-negative integer")
     return value
 
 
-def _run_displacement_sweep(config: RunConfig, pool: ThreadPoolExecutor):
+def _run_displacement_sweep(config: RunConfig):
     grids = config.grids
     _require_keys(grids, {"N", "beta"}, "grids")
     n = _grid_int(grids, "N", "grids")
     betas = _range_from(grids.get("beta", {"start": 0.0, "stop": 1.0, "step": 0.02}), "grids.beta")
-    pg = np.array(list(pool.map(lambda b: parity_curve_ideal(n, float(b)), betas)))
-    pg = _sample(pg, config)
+    pg = _sample(parity_curve_ideal(n, betas), config, np.random.default_rng(config.seed))
     fisher = [
         cfi_of_curve(lambda x: parity_curve_ideal(n, x), float(b),
                      lambda x: parity_curve_deriv(n, x))
@@ -211,14 +229,13 @@ def _run_displacement_sweep(config: RunConfig, pool: ThreadPoolExecutor):
     return columns, rows, [default_spec(n).dim], [f"N = {n}"]
 
 
-def _run_phase_sweep(config: RunConfig, pool: ThreadPoolExecutor):
+def _run_phase_sweep(config: RunConfig):
     grids = config.grids
     _require_keys(grids, {"N", "phi"}, "grids")
     n = _grid_int(grids, "N", "grids")
     gamma = math.sqrt(n) if n > 0 else 1.0
     phis = _range_from(grids.get("phi", {"start": 0.0, "stop": 0.5, "step": 0.01}), "grids.phi")
-    pg = np.array(list(pool.map(lambda p: phase_curve_ideal(n, gamma, float(p)), phis)))
-    pg = _sample(pg, config)
+    pg = _sample(phase_curve_ideal(n, gamma, phis), config, np.random.default_rng(config.seed))
     fisher = [
         cfi_of_curve(lambda x: phase_curve_ideal(n, gamma, x), float(p))
         for p in phis
@@ -228,7 +245,7 @@ def _run_phase_sweep(config: RunConfig, pool: ThreadPoolExecutor):
     return columns, rows, [default_spec(2 * n).dim], [f"N = {n}", f"gamma^2 = {_fmt(gamma * gamma)}"]
 
 
-def _run_ramsey_scan(config: RunConfig, pool: ThreadPoolExecutor):
+def _run_ramsey_scan(config: RunConfig):
     grids = config.grids
     _require_keys(grids, {"n_values", "theta", "target_n"}, "grids")
     n_values = grids.get("n_values")
@@ -239,11 +256,11 @@ def _run_ramsey_scan(config: RunConfig, pool: ThreadPoolExecutor):
         grids.get("theta", {"start": 0.0, "stop": 2.0 * math.pi, "step": 2.0 * math.pi / 512}),
         "grids.theta",
     )
+    rng = np.random.default_rng(config.seed)
     rows = []
     extra = []
     for n in n_values:
-        trace = ramsey_trace(int(n), int(target_n), thetas)
-        trace = _sample(trace, config)
+        trace = _sample(ramsey_trace(int(n), int(target_n), thetas), config, rng)
         for theta, p in zip(thetas, trace):
             rows.append((n, theta, p))
         try:
@@ -255,7 +272,7 @@ def _run_ramsey_scan(config: RunConfig, pool: ThreadPoolExecutor):
     return columns, rows, [max(int(v) for v in n_values) + 1], extra
 
 
-def _run_prepare_fock(config: RunConfig, pool: ThreadPoolExecutor):
+def _run_prepare_fock(config: RunConfig):
     grids = config.grids
     _require_keys(grids, {"N", "init_alpha", "schedule", "gaussian_sigma"}, "grids")
     n = _grid_int(grids, "N", "grids")
@@ -278,7 +295,7 @@ def _run_prepare_fock(config: RunConfig, pool: ThreadPoolExecutor):
     return columns, rows, [spec.dim], extra
 
 
-def _run_resolved_sweep(config: RunConfig, pool: ThreadPoolExecutor):
+def _run_resolved_sweep(config: RunConfig):
     grids = config.grids
     _require_keys(grids, {"alpha", "m"}, "grids")
     alpha = grids.get("alpha")
@@ -306,7 +323,7 @@ def _run_resolved_sweep(config: RunConfig, pool: ThreadPoolExecutor):
     return columns, rows, [spec.dim], extra
 
 
-def _run_scaling_study(config: RunConfig, pool: ThreadPoolExecutor):
+def _run_scaling_study(config: RunConfig):
     grids = config.grids
     _require_keys(grids, {"N"}, "grids")
     ns = _range_from(grids.get("N", {"start": 1, "stop": 40, "step": 1}), "grids.N")
@@ -323,7 +340,7 @@ def _run_scaling_study(config: RunConfig, pool: ThreadPoolExecutor):
     return columns, rows, [default_spec(int(ns.max())).dim], extra
 
 
-def _run_toy_model_study(config: RunConfig, pool: ThreadPoolExecutor):
+def _run_toy_model_study(config: RunConfig):
     grids = config.grids
     _require_keys(grids, {"N"}, "grids")
     ns = _range_from(grids.get("N", {"start": 1, "stop": 100, "step": 1}), "grids.N")
@@ -345,19 +362,19 @@ def _run_toy_model_study(config: RunConfig, pool: ThreadPoolExecutor):
     return columns, rows, [], extra
 
 
-def _run_wigner_map(config: RunConfig, pool: ThreadPoolExecutor):
+def _run_wigner_map(config: RunConfig):
     grids = config.grids
     _require_keys(grids, {"N", "re", "im"}, "grids")
     n = _grid_int(grids, "N", "grids")
     res = _range_from(grids.get("re", {"start": -4.0, "stop": 4.0, "step": 0.25}), "grids.re")
     ims = _range_from(grids.get("im", {"start": -4.0, "stop": 4.0, "step": 0.25}), "grids.im")
-    spec = default_spec(n)
-    rho = fock_state(n, spec).to_mixed()
-    points = [(float(x), float(y)) for y in ims for x in res]
-    values = list(pool.map(lambda p: wigner_value(rho, complex(p[0], p[1])), points))
-    rows = [(x, y, w) for (x, y), w in zip(points, values)]
+    # Cahill-Glauber closed form of the Fock-state Wigner function:
+    # W(alpha) = (2/pi) (-1)^N exp(-2|alpha|^2) L_N(4|alpha|^2); no truncation.
+    re_alpha, im_alpha = (g.ravel() for g in np.meshgrid(res, ims))
+    wigner = (2.0 / math.pi) * (-1.0) ** n * parity_shape(n, np.hypot(re_alpha, im_alpha))[0]
+    rows = list(zip(re_alpha, im_alpha, wigner))
     columns = ["re_alpha (dimensionless)", "im_alpha (dimensionless)", "wigner (1/area)"]
-    return columns, rows, [spec.dim], [f"N = {n}"]
+    return columns, rows, [], [f"N = {n}"]
 
 
 _RUNNERS = {
@@ -384,11 +401,15 @@ def resolved_config_dict(config: RunConfig) -> dict:
 
 
 def run(config: RunConfig, out_dir: str | Path | None = None, threads: int = 1) -> list[Path]:
-    """Execute one experiment; returns the written file paths."""
+    """Execute one experiment; returns the written file paths.
+
+    ``threads`` must be at least 1 and changes nothing: every experiment
+    runs in the calling thread.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     target = Path(os.environ.get(OUTDIR_ENV) or out_dir or config.output_path)
-    runner = _RUNNERS[config.experiment]
-    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
-        columns, rows, dims, extra = runner(config, pool)
+    columns, rows, dims, extra = _RUNNERS[config.experiment](config)
     target.mkdir(parents=True, exist_ok=True)
     stem = config.experiment.lower()
     echo_path = target / f"{stem}_config.yaml"
@@ -407,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("config")
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--out", default=None)
-    run_p.add_argument("--threads", type=int, default=1)
+    run_p.add_argument("--threads", type=int, default=1, help="at least 1; has no effect")
 
     val_p = sub.add_parser("validate", help="validate a config without running it")
     val_p.add_argument("config")
@@ -435,6 +456,9 @@ def main(argv: list[str] | None = None) -> int:
         paths = run(config, out_dir=args.out, threads=args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (FockmetError, ValueError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     for path in paths:
         print(path)

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .metrology import (
-    Parameter,
-    laguerre,
-    laguerre_deriv,
-    maximize_fisher,
-)
+from .metrology import Parameter, maximize_fisher, parity_shape
 
 DEGENERATE_AMPLITUDE = 1e-8
 # Fitted probability models can slightly overshoot [0, 1]; near the
@@ -59,50 +54,15 @@ def _linear_fit(design: np.ndarray, y: np.ndarray, names: list[str]) -> FitResul
     )
 
 
-def displacement_model_shape(beta: np.ndarray, N: int) -> np.ndarray:
-    """exp(-2 beta^2) L_N(4 beta^2), the beta-dependent factor of the parity fit."""
-    beta = np.asarray(beta, dtype=float)
-    return np.array([laguerre(N, 4.0 * b * b) * math.exp(-2.0 * b * b) for b in beta])
-
-
-def displacement_model_shape_deriv(beta: np.ndarray, N: int) -> np.ndarray:
-    beta = np.asarray(beta, dtype=float)
-    out = np.empty_like(beta)
-    for i, b in enumerate(beta):
-        x = 4.0 * b * b
-        env = math.exp(-2.0 * b * b)
-        out[i] = env * (laguerre_deriv(N, x) * 8.0 * b - 4.0 * b * laguerre(N, x))
-    return out
-
-
-def phase_model_shape(phi: np.ndarray, N: int) -> np.ndarray:
-    """exp(-2N phi^2) L_N(4N phi^2): the phase-sensing fit shape with gamma^2 = N."""
-    phi = np.asarray(phi, dtype=float)
-    return np.array(
-        [laguerre(N, 4.0 * N * p * p) * math.exp(-2.0 * N * p * p) for p in phi]
-    )
-
-
-def phase_model_shape_deriv(phi: np.ndarray, N: int) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float)
-    out = np.empty_like(phi)
-    for i, p in enumerate(phi):
-        x = 4.0 * N * p * p
-        env = math.exp(-2.0 * N * p * p)
-        out[i] = env * (
-            laguerre_deriv(N, x) * 8.0 * N * p - 4.0 * N * p * laguerre(N, x)
-        )
-    return out
-
-
-def _curve_fit(grid, samples, N, shape_fn) -> FitResult:
+def _curve_fit(grid, samples, N, scale: float) -> FitResult:
+    """Fit P_g = A exp(-2 beta^2) L_N(4 beta^2) + B at beta = scale * grid."""
     grid = np.asarray(grid, dtype=float)
     samples = np.asarray(samples, dtype=float)
     if grid.size < 8:
         raise ValueError("need at least 8 grid points")
     if np.any((samples < -1e-9) | (samples > 1.0 + 1e-9)):
         raise ValueError("probabilities must lie in [0, 1]")
-    design = np.column_stack([shape_fn(grid, N), np.ones_like(grid)])
+    design = np.column_stack([parity_shape(N, scale * grid)[0], np.ones_like(grid)])
     result = _linear_fit(design, samples, ["A", "B"])
     span = float(np.max(np.abs(design[:, 0])) - np.min(np.abs(design[:, 0])))
     degenerate = abs(result.parameters["A"]) * max(span, 1.0) < DEGENERATE_AMPLITUDE
@@ -120,12 +80,13 @@ def _curve_fit(grid, samples, N, shape_fn) -> FitResult:
 
 def fit_displacement_curve(beta_grid, pg_samples, N: int) -> FitResult:
     """Fit P_g = A exp(-2 beta^2) L_N(4 beta^2) + B."""
-    return _curve_fit(beta_grid, pg_samples, N, displacement_model_shape)
+    return _curve_fit(beta_grid, pg_samples, N, 1.0)
 
 
 def fit_phase_curve(phi_grid, pg_samples, N: int) -> FitResult:
-    """Fit P_g = A exp(-2N phi^2) L_N(4N phi^2) + B."""
-    return _curve_fit(phi_grid, pg_samples, N, phase_model_shape)
+    """Fit P_g = A exp(-2N phi^2) L_N(4N phi^2) + B: the displacement shape at
+    beta = sqrt(N) phi, i.e. gamma^2 = N."""
+    return _curve_fit(phi_grid, pg_samples, N, math.sqrt(N))
 
 
 def fit_multi_gaussian(
@@ -228,20 +189,20 @@ class ShotRecord:
 def _fisher_precision_from_fit(record: ShotRecord, pg: np.ndarray) -> float:
     if record.model is Parameter.BETA:
         fit = fit_displacement_curve(record.grid, np.clip(pg, 0.0, 1.0), record.N)
-        shape, dshape = displacement_model_shape, displacement_model_shape_deriv
+        scale = 1.0
     else:
         fit = fit_phase_curve(record.grid, np.clip(pg, 0.0, 1.0), record.N)
-        shape, dshape = phase_model_shape, phase_model_shape_deriv
+        scale = math.sqrt(record.N)
     a, b = fit.parameters["A"], fit.parameters["B"]
 
     def p_of(lam: float) -> float:
-        p = a * float(shape(np.array([lam]), record.N)[0]) + b
+        p = a * parity_shape(record.N, scale * lam)[0] + b
         if p < SATURATION_MARGIN or p > 1.0 - SATURATION_MARGIN:
             return 0.0
         return p
 
     def dp_of(lam: float) -> float:
-        return a * float(dshape(np.array([lam]), record.N)[0])
+        return a * scale * parity_shape(record.N, scale * lam)[1]
 
     lo, hi = float(record.grid.min()), float(record.grid.max())
     if lo <= 0.0:

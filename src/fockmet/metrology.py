@@ -3,6 +3,10 @@
 Binary-outcome classical Fisher information, pure-state quantum Fisher
 information, standard-quantum-limit baselines, metrological gain, and the
 weighted Fisher information of the photon-number-resolved scheme.
+
+Every closed-form curve in the package (parity and phase fringes, the fit
+models, the noisy parity, the Fock-state Wigner map) is built on the one
+kernel ``parity_shape``.
 """
 
 from __future__ import annotations
@@ -20,29 +24,24 @@ CLAMP_EPS = 1e-12
 CENTRAL_DIFF_H = 1e-6
 
 
-def laguerre(n: int, x: float) -> float:
-    """Laguerre polynomial L_n(x) by the stable three-term recurrence."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 - x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
-    return cur
+def parity_shape(N: int, beta: float | np.ndarray):
+    """(exp(-2 beta^2) L_N(4 beta^2), its d/dbeta), elementwise on a float or array.
 
-
-def laguerre_deriv(n: int, x: float) -> float:
-    """d/dx L_n(x) = -L_{n-1}^{(1)}(x) via the associated-Laguerre recurrence."""
-    if n == 0:
-        return 0.0
-    # L_k^{(1)} recurrence: (k+1) L_{k+1} = (2k+2-x) L_k - (k+1) L_{k-1}
-    prev, cur = 1.0, 2.0 - x
-    if n == 1:
-        return -prev
-    for k in range(1, n - 1):
-        prev, cur = cur, ((2 * k + 2 - x) * cur - (k + 1) * prev) / (k + 1)
-    return -cur
+    The displaced-parity fringe of |N>.  One loop runs the three-term
+    recurrences of L_k and of the associated L_k^(1), since
+    d/dx L_N(x) = -L_{N-1}^(1)(x).
+    """
+    if N < 0:
+        raise ValueError("N must be non-negative")
+    x = 4.0 * beta * beta
+    env = (np.exp if isinstance(beta, np.ndarray) else math.exp)(-2.0 * beta * beta)
+    prev, cur = 0.0, 1.0  # L_{k-2}, L_{k-1}
+    prev1, cur1 = 0.0, 1.0  # L^(1)_{k-2}, L^(1)_{k-1}
+    for k in range(1, N + 1):
+        prev, cur = cur, ((2 * k - 1 - x) * cur - (k - 1) * prev) / k
+        prev1, cur1 = cur1, ((2 * k - x) * cur1 - k * prev1) / k
+    # The loop leaves L_N in cur and L^(1)_{N-1} in prev1.
+    return cur * env, env * (-prev1 * 8.0 * beta - 4.0 * beta * cur)
 
 
 class GeneratorKind(enum.Enum):
@@ -70,25 +69,17 @@ def phase_generator(spec: HilbertSpec) -> Generator:
     return Generator(GeneratorKind.PHASE_ROTATION, number_op(spec))
 
 
-def parity_curve_ideal(N: int, beta: float) -> float:
-    """Ideal parity-readout probability for a displaced Fock state:
-    1/2 + 1/2 (-1)^N L_N(4 beta^2) exp(-2 beta^2)."""
-    if N < 0:
-        raise ValueError("N must be non-negative")
-    x = 4.0 * beta * beta
-    return 0.5 + 0.5 * (-1.0) ** N * laguerre(N, x) * math.exp(-2.0 * beta * beta)
+def parity_curve_ideal(N: int, beta: float | np.ndarray):
+    """Ideal parity-readout probability 1/2 + 1/2 (-1)^N exp(-2 beta^2) L_N(4 beta^2)."""
+    return 0.5 + 0.5 * (-1.0) ** N * parity_shape(N, beta)[0]
 
 
-def parity_curve_deriv(N: int, beta: float) -> float:
+def parity_curve_deriv(N: int, beta: float | np.ndarray):
     """Analytic d/dbeta of the ideal parity curve."""
-    x = 4.0 * beta * beta
-    env = math.exp(-2.0 * beta * beta)
-    return 0.5 * (-1.0) ** N * env * (
-        laguerre_deriv(N, x) * 8.0 * beta - 4.0 * beta * laguerre(N, x)
-    )
+    return 0.5 * (-1.0) ** N * parity_shape(N, beta)[1]
 
 
-def phase_curve_ideal(N: int, gamma: float, phi: float) -> float:
+def phase_curve_ideal(N: int, gamma: float, phi: float | np.ndarray):
     """Ideal phase-sensing curve: the parity curve at effective amplitude |phi*gamma|.
 
     Valid in the small-rotation regime where the phase acts as a

@@ -17,7 +17,7 @@ import numpy as np
 from .composite import DeviceParams
 from .errors import ModelBreakdownError
 from .fockspace import HilbertSpec, LinearOp, MixedState
-from .metrology import laguerre, parity_curve_ideal, sql_baselines
+from .metrology import parity_curve_ideal, parity_shape, sql_baselines
 
 
 @dataclass(frozen=True)
@@ -149,18 +149,16 @@ def parity_prob_noisy(N: int, beta: float, params: DeviceParams) -> float:
     """
     if N < 0:
         raise ValueError("N must be non-negative")
-    x = 4.0 * beta * beta
     t = params.T_M
     k1, k3, k4 = params.kappa1, params.kappa3, params.kappa4
     sign = (-1.0) ** N
-    env = math.exp(-2.0 * beta * beta)
-    l_n = laguerre(N, x)
-    l_np1 = laguerre(N + 1, x)
-    l_nm1 = laguerre(N - 1, x) if N >= 1 else 0.0
-    p_g1 = sign * env * (
-        (-k1 * t * (N / 4.0 + beta * beta / 2.0 - 0.25) - 0.25 * (k3 + k4) * t) * l_n
-        - k1 * t * (N + 1) / 4.0 * l_np1
-        - 0.25 * k1 * t * l_nm1
+    s_n = parity_shape(N, beta)[0]
+    s_np1 = parity_shape(N + 1, beta)[0]
+    s_nm1 = parity_shape(N - 1, beta)[0] if N >= 1 else 0.0
+    p_g1 = sign * (
+        (-k1 * t * (N / 4.0 + beta * beta / 2.0 - 0.25) - 0.25 * (k3 + k4) * t) * s_n
+        - k1 * t * (N + 1) / 4.0 * s_np1
+        - 0.25 * k1 * t * s_nm1
     )
     return parity_curve_ideal(N, beta) + p_g1
 

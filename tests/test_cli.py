@@ -1,16 +1,28 @@
 """Config ingestion, experiment runners, and the command-line interface."""
 
+import math
+from pathlib import Path
+
+import numpy as np
 import pytest
 import yaml
+from scipy.special import eval_laguerre
 
-from fockmet import ConfigError, __version__
-from fockmet.cli import OUTDIR_ENV, load_config, main, run
+from fockmet import ConfigError, HilbertSpec, __version__, fock_state, wigner_value
+from fockmet.cli import OUTDIR_ENV, RunConfig, load_config, main, run
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 
 
 def _write_config(path, payload):
     with open(path, "w") as fh:
         yaml.safe_dump(payload, fh)
     return str(path)
+
+
+def _csv_rows(path):
+    lines = [l for l in Path(path).read_text().splitlines() if not l.startswith("#")][1:]
+    return [l.split(",") for l in lines]
 
 
 DISPLACEMENT = {
@@ -145,6 +157,66 @@ class TestExperiments:
         assert "N" in str(err.value)
 
 
+class TestShippedConfigs:
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_validates_and_runs(self, tmp_path, path, capsys):
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+        assert len(list(tmp_path.glob("*_results.csv"))) == 1
+
+    def test_wigner_map_matches_cahill_glauber(self, tmp_path):
+        path = next(p for p in CONFIGS if p.name == "wigner_map.yaml")
+        cfg = load_config(path)
+        n = cfg.grids["N"]
+        rows = np.array(_csv_rows(run(cfg, out_dir=tmp_path)[1]), dtype=float)
+        assert rows.shape == (3721, 3)
+        r2 = rows[:, 0] ** 2 + rows[:, 1] ** 2
+        exact = (2.0 / math.pi) * (-1.0) ** n * np.exp(-2.0 * r2) * eval_laguerre(n, 4.0 * r2)
+        assert np.max(np.abs(rows[:, 2] - exact)) <= 1e-12
+
+
+class TestWignerMap:
+    def test_closed_form_matches_dense_wigner(self, tmp_path):
+        grid = {"start": -1.0, "stop": 1.0, "step": 0.25}
+        payload = {"experiment": "WignerMap", "grids": {"N": 4, "re": grid, "im": grid}}
+        paths = run(load_config(_write_config(tmp_path / "c.yaml", payload)), out_dir=tmp_path)
+        rho = fock_state(4, HilbertSpec(60)).to_mixed()
+        rows = _csv_rows(paths[1])
+        assert len(rows) == 81
+        for re_alpha, im_alpha, w in rows:
+            alpha = complex(float(re_alpha), float(im_alpha))
+            assert abs(alpha) <= 1.5
+            assert float(w) == pytest.approx(wigner_value(rho, alpha), abs=1e-12)
+
+    def test_row_order_is_im_outer_re_inner(self, tmp_path):
+        payload = {"experiment": "WignerMap", "grids": {"N": 1, "re": [0.0, 0.5], "im": [-1.0, 1.0]}}
+        paths = run(load_config(_write_config(tmp_path / "c.yaml", payload)), out_dir=tmp_path)
+        points = [(float(x), float(y)) for x, y, _ in _csv_rows(paths[1])]
+        assert points == [(0.0, -1.0), (0.5, -1.0), (0.0, 1.0), (0.5, 1.0)]
+
+
+class TestSampling:
+    RAMSEY = {
+        "experiment": "RamseyScan",
+        "grids": {"theta": {"start": 0.0, "stop": 6.0, "step": 0.1}},
+        "shots": 100,
+        "seed": 5,
+    }
+
+    def _trace_values(self, tmp_path, n_values):
+        payload = dict(self.RAMSEY, grids=dict(self.RAMSEY["grids"], n_values=n_values))
+        path = _write_config(tmp_path / f"r{len(n_values)}.yaml", payload)
+        paths = run(load_config(path), out_dir=tmp_path / f"out{len(n_values)}")
+        return [row[2] for row in _csv_rows(paths[1])]
+
+    def test_ramsey_traces_draw_independent_noise(self, tmp_path):
+        both = self._trace_values(tmp_path, [3, 3])
+        first, second = both[: len(both) // 2], both[len(both) // 2 :]
+        assert first != second
+        # The first trace draws exactly what a one-trace run draws.
+        assert first == self._trace_values(tmp_path, [3])
+
+
 class TestMain:
     def test_version(self, capsys):
         assert main(["version"]) == 0
@@ -173,3 +245,39 @@ class TestMain:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.yaml")]) == 2
+
+    def test_threads_below_one_is_a_user_error(self, tmp_path, capsys):
+        path = _write_config(tmp_path / "c.yaml", DISPLACEMENT)
+        with pytest.raises(ValueError):
+            run(load_config(path), out_dir=tmp_path / "a", threads=0)
+        assert main(["run", path, "--threads", "0", "--out", str(tmp_path / "b")]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "threads" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+    def test_model_breakdown_is_a_user_error(self, tmp_path, capsys):
+        payload = {"experiment": "ToyModelStudy", "grids": {"N": {"start": 1, "stop": 200, "step": 1}}}
+        path = _write_config(tmp_path / "c.yaml", payload)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "ModelBreakdownError" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ({"grids": {"N": True, "beta": [0.0, 0.1]}}, "grids.N"),
+            ({"shots": True}, "shots"),
+            ({"seed": True}, "seed"),
+        ],
+        ids=["N", "shots", "seed"],
+    )
+    def test_validate_rejects_booleans_for_integers(self, tmp_path, capsys, override, field):
+        path = _write_config(tmp_path / "c.yaml", dict(DISPLACEMENT, **override))
+        assert main(["validate", path]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_run_rejects_boolean_grid_integer(self, tmp_path):
+        config = RunConfig(experiment="DisplacementSweep", grids={"N": True, "beta": [0.0, 0.1]})
+        with pytest.raises(ConfigError, match="grids.N"):
+            run(config, out_dir=tmp_path)

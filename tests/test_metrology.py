@@ -25,28 +25,60 @@ from fockmet import (
 from fockmet.metrology import (
     gain_db_from_fisher,
     gain_db_from_precision,
-    laguerre,
-    laguerre_deriv,
     maximize_fisher,
     parity_curve_deriv,
+    parity_shape,
 )
 
 
+def _shape_oracle(n, x):
+    """(beta, exp(-2 beta^2), L_n, d/dx L_n) from scipy at the kernel's x = 4 beta^2."""
+    b = math.sqrt(x) / 2.0
+    x = 4.0 * b * b
+    dlag = 0.0 if n == 0 else -eval_genlaguerre(n - 1, 1, x)
+    return b, math.exp(-2.0 * b * b), eval_laguerre(n, x), dlag
+
+
 class TestLaguerre:
+    """The Laguerre recurrences inside parity_shape, checked through the envelope."""
+
     def test_matches_scipy(self):
         for n in (0, 1, 2, 5, 20, 100):
             for x in (0.0, 0.3, 1.7, 10.0):
-                assert laguerre(n, x) == pytest.approx(eval_laguerre(n, x), rel=1e-10, abs=1e-10)
+                b, env, lag, _ = _shape_oracle(n, x)
+                shape, _ = parity_shape(n, b)
+                assert shape == pytest.approx(lag * env, rel=1e-10, abs=1e-10 * env)
 
     def test_deriv_matches_scipy(self):
         for n in (0, 1, 2, 5, 20):
             for x in (0.0, 0.3, 1.7, 10.0):
-                expected = 0.0 if n == 0 else -eval_genlaguerre(n - 1, 1, x)
-                assert laguerre_deriv(n, x) == pytest.approx(expected, rel=1e-10, abs=1e-10)
+                b, env, lag, dlag = _shape_oracle(n, x)
+                _, dshape = parity_shape(n, b)
+                expected = env * (8.0 * b * dlag - 4.0 * b * lag)
+                assert dshape == pytest.approx(expected, rel=1e-10, abs=1e-10 * env * 8.0 * b)
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
-            laguerre(-1, 0.0)
+            parity_shape(-1, 0.0)
+
+    def test_array_call_equals_scalar_calls(self):
+        betas = np.linspace(0.0, 2.0, 41)
+        for n in (0, 1, 4, 100):
+            shape, dshape = parity_shape(n, betas)
+            scalar = [parity_shape(n, float(b)) for b in betas]
+            np.testing.assert_allclose(shape, [s for s, _ in scalar], rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(dshape, [d for _, d in scalar], rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(
+                parity_curve_ideal(n, betas), [parity_curve_ideal(n, float(b)) for b in betas],
+                rtol=1e-15, atol=0.0,
+            )
+            np.testing.assert_allclose(
+                parity_curve_deriv(n, betas), [parity_curve_deriv(n, float(b)) for b in betas],
+                rtol=1e-15, atol=0.0,
+            )
+
+    def test_scalar_call_returns_python_floats(self):
+        assert all(type(v) is float for v in parity_shape(7, 0.3))
 
 
 class TestParityCurve:

@@ -20,7 +20,7 @@ from fockmet import (
     sinusoidal_pnf,
 )
 from fockmet.estimation import fit_scaling_exponent
-from fockmet.metrology import laguerre
+from fockmet.metrology import parity_shape
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -69,7 +69,10 @@ def test_sinusoidal_filter_conserves_probability(n, theta, target):
 @SETTINGS
 @given(n=st.integers(0, 60), x=st.floats(0.0, 30.0))
 def test_laguerre_matches_scipy(n, x):
-    assert laguerre(n, x) == pytest.approx(eval_laguerre(n, x), rel=1e-8, abs=1e-8)
+    b = math.sqrt(x) / 2.0
+    env = math.exp(-2.0 * b * b)
+    expected = eval_laguerre(n, 4.0 * b * b) * env
+    assert parity_shape(n, b)[0] == pytest.approx(expected, rel=1e-8, abs=1e-8 * env)
 
 
 @SETTINGS
