@@ -95,19 +95,23 @@ def _reject_booleans(value, context: str) -> None:
 
 def _range_from(entry, context: str) -> np.ndarray:
     """Accept either an explicit list or a {start, stop, step} mapping."""
-    if isinstance(entry, list):
-        return np.asarray(entry, dtype=float)
     if isinstance(entry, dict):
         _require_keys(entry, {"start", "stop", "step"}, context)
         try:
             start, stop, step = entry["start"], entry["stop"], entry["step"]
         except KeyError as exc:
             raise ConfigError(f"{context}.{exc.args[0]}", "missing") from exc
+        if not all(isinstance(v, (int, float)) for v in (start, stop, step)):
+            raise ConfigError(context, "start, stop and step must be numbers")
         if step <= 0:
             raise ConfigError(f"{context}.step", "must be positive")
-        count = int(round((stop - start) / step)) + 1
-        return start + step * np.arange(count)
-    raise ConfigError(context, "expected list or {start, stop, step}")
+        entry = start + step * np.arange(int(round((stop - start) / step)) + 1)
+    elif not isinstance(entry, list):
+        raise ConfigError(context, "expected list or {start, stop, step}")
+    grid = np.asarray(entry, dtype=float)
+    if grid.size == 0:
+        raise ConfigError(context, "grid has no points")
+    return grid
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -249,9 +253,9 @@ def _run_ramsey_scan(config: RunConfig):
     grids = config.grids
     _require_keys(grids, {"n_values", "theta", "target_n"}, "grids")
     n_values = grids.get("n_values")
-    if not isinstance(n_values, list) or not n_values:
-        raise ConfigError("grids.n_values", "must be a non-empty list of integers")
-    target_n = grids.get("target_n", 0)
+    if not (isinstance(n_values, list) and n_values and all(_is_int(n) and n >= 0 for n in n_values)):
+        raise ConfigError("grids.n_values", "must be a non-empty list of non-negative integers")
+    target_n = _grid_int(grids, "target_n", "grids") if "target_n" in grids else 0
     thetas = _range_from(
         grids.get("theta", {"start": 0.0, "stop": 2.0 * math.pi, "step": 2.0 * math.pi / 512}),
         "grids.theta",
@@ -260,7 +264,7 @@ def _run_ramsey_scan(config: RunConfig):
     rows = []
     extra = []
     for n in n_values:
-        trace = _sample(ramsey_trace(int(n), int(target_n), thetas), config, rng)
+        trace = _sample(ramsey_trace(n, target_n, thetas), config, rng)
         for theta, p in zip(thetas, trace):
             rows.append((n, theta, p))
         try:
@@ -269,7 +273,7 @@ def _run_ramsey_scan(config: RunConfig):
         except ValueError:
             extra.append(f"fitted frequency n={n}: none")
     columns = ["n (photons)", "theta (rad)", "p_g (probability)"]
-    return columns, rows, [max(int(v) for v in n_values) + 1], extra
+    return columns, rows, [max(n_values) + 1], extra
 
 
 def _run_prepare_fock(config: RunConfig):
@@ -299,8 +303,8 @@ def _run_resolved_sweep(config: RunConfig):
     grids = config.grids
     _require_keys(grids, {"alpha", "m"}, "grids")
     alpha = grids.get("alpha")
-    if alpha is None:
-        raise ConfigError("grids.alpha", "missing")
+    if not isinstance(alpha, (int, float)):
+        raise ConfigError("grids.alpha", "missing" if alpha is None else "must be a number")
     m = _grid_int(grids, "m", "grids")
     if not 1 <= m <= 6:
         raise ConfigError("grids.m", "must be in [1, 6]")

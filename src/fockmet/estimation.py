@@ -1,19 +1,19 @@
 """Statistical back-end: model fits, population reconstruction, bootstrap.
 
 All fitted models are linear in their amplitude/background parameters, so
-the solvers are direct least squares; the spectroscopy fit nests a linear
-solve inside a one-dimensional width search.
+the solvers are direct least squares.  The spectroscopy (width) and Ramsey
+(frequency) fits are variable projection: a linear solve nested inside the
+package's one 1-D search, ``metrology.golden_max``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
-from .metrology import Parameter, maximize_fisher, parity_shape
+from .metrology import Parameter, golden_max, maximize_fisher, parity_shape
 
 DEGENERATE_AMPLITUDE = 1e-8
 # Fitted probability models can slightly overshoot [0, 1]; near the
@@ -33,10 +33,14 @@ class FitResult:
     degenerate: bool = False
 
 
-def _linear_fit(design: np.ndarray, y: np.ndarray, names: list[str]) -> FitResult:
+def _lstsq(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """(coefficients, rank, residual norm) of the least-squares fit of y on design's columns."""
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    residuals = y - design @ coef
-    residual_norm = float(np.linalg.norm(residuals))
+    return coef, rank, float(np.linalg.norm(y - design @ coef))
+
+
+def _linear_fit(design: np.ndarray, y: np.ndarray, names: list[str]) -> FitResult:
+    coef, rank, residual_norm = _lstsq(design, y)
     dof = max(len(y) - design.shape[1], 1)
     sigma2 = residual_norm**2 / dof
     gram = design.T @ design
@@ -66,16 +70,7 @@ def _curve_fit(grid, samples, N, scale: float) -> FitResult:
     result = _linear_fit(design, samples, ["A", "B"])
     span = float(np.max(np.abs(design[:, 0])) - np.min(np.abs(design[:, 0])))
     degenerate = abs(result.parameters["A"]) * max(span, 1.0) < DEGENERATE_AMPLITUDE
-    if degenerate:
-        result = FitResult(
-            parameters=result.parameters,
-            covariance=result.covariance,
-            residual_norm=result.residual_norm,
-            converged=result.converged,
-            iterations=result.iterations,
-            degenerate=True,
-        )
-    return result
+    return replace(result, degenerate=degenerate)
 
 
 def fit_displacement_curve(beta_grid, pg_samples, N: int) -> FitResult:
@@ -96,8 +91,8 @@ def fit_multi_gaussian(
 
     Shared width sigma_f and background B as constrained parameters; the
     per-center amplitudes solve a linear system nested inside a 1-D search
-    over sigma_f.  Negative amplitudes are clamped to zero before
-    normalization.  Returns (populations, fit).
+    over sigma_f within sigma_bounds.  Negative amplitudes are clamped to
+    zero before normalization.  Returns (populations, fit).
     """
     f_grid = np.asarray(f_grid, dtype=float)
     signal = np.asarray(signal, dtype=float)
@@ -109,17 +104,12 @@ def fit_multi_gaussian(
         cols.append(np.ones_like(f_grid))
         return np.column_stack(cols)
 
-    def residual(sigma_f: float) -> float:
-        design = design_for(sigma_f)
-        coef, _, _, _ = np.linalg.lstsq(design, signal, rcond=None)
-        return float(np.linalg.norm(signal - design @ coef))
-
     if sigma_bounds is None:
         lo = max(np.ptp(f_grid) / (4.0 * f_grid.size), spacing / 50.0)
         hi = max(spacing * 2.0, lo * 10.0)
-        sigma_bounds = (lo, hi)
-    search = optimize.minimize_scalar(residual, bounds=sigma_bounds, method="bounded")
-    sigma_f = float(search.x)
+    else:
+        lo, hi = sigma_bounds
+    sigma_f = float(golden_max(lambda w: -_lstsq(design_for(w), signal)[2], lo, hi, 33, 1e-10 * hi)[1])
     if f_centers.size > 1 and spacing < sigma_f / 10.0:
         raise ValueError(
             f"centers closer than sigma_f/10 ({spacing:.3g} < {sigma_f / 10.0:.3g}): singular design"
@@ -133,42 +123,35 @@ def fit_multi_gaussian(
     if total <= 0:
         raise ValueError("all fitted amplitudes non-positive")
     populations = amps / total
-    fit = FitResult(
-        parameters={**fit.parameters, "sigma_f": sigma_f},
-        covariance=fit.covariance,
-        residual_norm=fit.residual_norm,
-        converged=fit.converged and search.success,
-        iterations=int(search.nfev),
-    )
-    return populations, fit
+    return populations, replace(fit, parameters={**fit.parameters, "sigma_f": sigma_f})
 
 
 def fit_ramsey_frequency(theta_grid, pg_trace) -> float:
     """Dominant oscillation frequency of a Ramsey trace, in cycles per 2pi of theta.
 
-    Spectrum peak first, then local refinement with a single-component
-    sinusoid.  For a Fock-|n> trace the result is n.
+    Spectrum peak first, then variable projection on a + b cos(f theta) + c sin(f theta)
+    within one FFT bin of it.  For a Fock-|n> trace the result is n.
     """
     theta = np.asarray(theta_grid, dtype=float)
     trace = np.asarray(pg_trace, dtype=float)
     if theta.size < 8:
         raise ValueError("trace too short")
-    span = theta[-1] - theta[0]
     centered = trace - trace.mean()
     spectrum = np.abs(np.fft.rfft(centered))
     noise_floor = 3.0 * np.median(spectrum) + 1e-12
     k = int(np.argmax(spectrum))
     if k == 0 or spectrum[k] < noise_floor:
         raise ValueError("no dominant spectral peak above the noise floor")
-    freq0 = 2.0 * math.pi * k / span
+    bin_width = 2.0 * math.pi / (theta[-1] - theta[0])
+    freq0 = bin_width * k
 
-    def model(params):
-        a, b, f, phase = params
-        return a + b * np.cos(f * theta + phase) - trace
+    def design_for(freq: float) -> np.ndarray:
+        return np.column_stack([np.ones_like(theta), np.cos(freq * theta), np.sin(freq * theta)])
 
-    guess = [trace.mean(), np.ptp(trace) / 2.0, freq0, 0.0]
-    sol = optimize.least_squares(model, guess)
-    return float(abs(sol.x[2]))
+    return float(golden_max(
+        lambda f: -_lstsq(design_for(f), trace)[2],
+        freq0 - bin_width, freq0 + bin_width, 21, 1e-13 * freq0,
+    )[1])
 
 
 @dataclass(frozen=True)

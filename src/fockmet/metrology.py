@@ -166,6 +166,40 @@ class PrecisionReport:
     argmax_location: float
 
 
+def golden_max(
+    f: Callable[[float], float], lo: float, hi: float, grid_points: int, tol: float
+) -> tuple[float, float]:
+    """(max f, argmax) on [lo, hi]: the package's one 1-D search.
+
+    A dense grid, then golden-section refinement around its best point.
+    """
+    grid = np.linspace(lo, hi, grid_points)
+    values = np.array([f(float(x)) for x in grid])
+    k = int(np.argmax(values))
+    a = grid[max(k - 1, 0)]
+    b = grid[min(k + 1, grid_points - 1)]
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc = f(c)
+    fd = f(d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    x_star = (a + b) / 2.0
+    f_star = f(x_star)
+    # The refinement assumes local unimodality; never do worse than the grid.
+    if f_star < values[k]:
+        return float(values[k]), float(grid[k])
+    return f_star, x_star
+
+
 def maximize_fisher(
     P: Callable[[float], float],
     lo: float,
@@ -174,32 +208,8 @@ def maximize_fisher(
     grid_points: int = 401,
     tol: float = 1e-4,
 ) -> tuple[float, float]:
-    """(F_max, argmax) via a dense grid followed by golden-section refinement."""
-    grid = np.linspace(lo, hi, grid_points)
-    values = np.array([cfi_of_curve(P, float(x), dP) for x in grid])
-    k = int(np.argmax(values))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, grid_points - 1)]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = cfi_of_curve(P, c, dP)
-    fd = cfi_of_curve(P, d, dP)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = cfi_of_curve(P, c, dP)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = cfi_of_curve(P, d, dP)
-    x_star = (a + b) / 2.0
-    f_star = cfi_of_curve(P, x_star, dP)
-    # The refinement assumes local unimodality; never do worse than the grid.
-    if f_star < values[k]:
-        return float(values[k]), float(grid[k])
-    return f_star, x_star
+    """(F_max, argmax) of the binary-outcome Fisher information of P on [lo, hi]."""
+    return golden_max(lambda lam: cfi_of_curve(P, lam, dP), lo, hi, grid_points, tol)
 
 
 def precision_report(

@@ -1,6 +1,9 @@
 """Config ingestion, experiment runners, and the command-line interface."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,8 @@ from scipy.special import eval_laguerre
 from fockmet import ConfigError, HilbertSpec, __version__, fock_state, wigner_value
 from fockmet.cli import OUTDIR_ENV, RunConfig, load_config, main, run
 
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
 
 
 def _write_config(path, payload):
@@ -281,3 +285,31 @@ class TestMain:
         config = RunConfig(experiment="DisplacementSweep", grids={"N": True, "beta": [0.0, 0.1]})
         with pytest.raises(ConfigError, match="grids.N"):
             run(config, out_dir=tmp_path)
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"experiment": "RamseyScan", "grids": {"n_values": [3.7, 5]}}, "grids.n_values"),
+            ({"experiment": "RamseyScan", "grids": {"n_values": [3, 5], "target_n": 1.5}}, "grids.target_n"),
+            ({"experiment": "DisplacementSweep",
+              "grids": {"N": 2, "beta": {"start": 1.0, "stop": 0.0, "step": 0.1}}}, "grids.beta"),
+            ({"experiment": "DisplacementSweep", "grids": {"N": 2, "beta": []}}, "grids.beta"),
+            ({"experiment": "DisplacementSweep",
+              "grids": {"N": 2, "beta": {"start": "0", "stop": 1.0, "step": 0.1}}}, "grids.beta"),
+            ({"experiment": "ResolvedSweep", "grids": {"alpha": "1.5", "m": 3}}, "grids.alpha"),
+        ],
+        ids=["fractional-n", "fractional-target", "empty-range", "empty-list", "string-start", "string-alpha"],
+    )
+    def test_run_rejects_bad_grid(self, tmp_path, capsys, payload, field):
+        path = _write_config(tmp_path / "c.yaml", payload)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error") and field in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, fockmet.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -82,6 +82,30 @@ class TestRamseyFrequency:
             trace = ramsey_trace(n, 0, thetas)
             assert fit_ramsey_frequency(thetas, trace) == pytest.approx(n, abs=1e-6)
 
+    def test_recovers_off_bin_tones(self):
+        rng = np.random.default_rng(0)
+        thetas = np.linspace(0.0, 2 * math.pi, 1024)
+        for _ in range(50):
+            freq, phase = rng.uniform(2.0, 120.0), rng.uniform(0.0, 2 * math.pi)
+            trace = 0.5 + 0.45 * np.cos(freq * thetas + phase)
+            assert fit_ramsey_frequency(thetas, trace) == pytest.approx(freq, rel=1e-9)
+
+    def test_returns_python_float(self):
+        thetas = np.linspace(0.0, 2 * math.pi, 256)
+        assert type(fit_ramsey_frequency(thetas, ramsey_trace(7, 0, thetas))) is float
+
+    def test_noisy_trace_result_minimises_residual(self):
+        thetas = np.linspace(0.0, 2 * math.pi, 513)
+        trace = np.random.default_rng(3).binomial(200, ramsey_trace(30, 0, thetas)) / 200
+
+        def residual(freq):
+            design = np.column_stack([np.ones_like(thetas), np.cos(freq * thetas), np.sin(freq * thetas)])
+            coef = np.linalg.lstsq(design, trace, rcond=None)[0]
+            return np.linalg.norm(trace - design @ coef)
+
+        got = fit_ramsey_frequency(thetas, trace)
+        assert residual(got) <= min(residual(got - 1e-7), residual(got + 1e-7))
+
     def test_flat_trace_rejected(self):
         thetas = np.linspace(0.0, 2 * math.pi, 256)
         with pytest.raises(ValueError):
