@@ -33,7 +33,6 @@ from .errors import (
     FockmetError,
     InteriorAccuracyError,
     ModelBreakdownError,
-    StepSizeError,
     TruncationError,
 )
 from .estimation import (

@@ -1,9 +1,13 @@
 """Batch experiment runner: config ingestion, sweeps, CSV/JSON emission.
 
-One experiment per invocation, computed in a single thread.  The closed-form
-sweeps evaluate their whole grid in one array call.  Shot noise is drawn
-from one generator per run, seeded from the config, in grid order, so
-identical configs produce byte-identical outputs.  ``--threads`` is
+Each experiment has one entry in ``_EXPERIMENT_TABLE``: its runner and its
+grid fields, each with a parser and a default or marked required.  ``run``
+parses the grids through that table, computes in a single thread and
+writes the results; ``validate`` is a dry run of the same parse and compute
+that writes nothing, so it rejects exactly what ``run`` rejects.  The
+closed-form sweeps evaluate their whole grid in one array call.  Shot noise
+is drawn from one generator per run, seeded from the config, in grid order,
+so identical configs produce byte-identical outputs.  ``--threads`` is
 accepted for compatibility and changes nothing.
 """
 
@@ -47,18 +51,9 @@ from .noise import toy_model
 
 OUTDIR_ENV = "FOCKMET_OUTDIR"
 
-EXPERIMENTS = (
-    "PrepareFock",
-    "RamseyScan",
-    "DisplacementSweep",
-    "PhaseSweep",
-    "ResolvedSweep",
-    "ScalingStudy",
-    "ToyModelStudy",
-    "WignerMap",
-)
-
 DEVICE_FIELDS = {f.name for f in dataclasses.fields(DeviceParams)}
+
+_REQUIRED = object()  # default of a field the config must give
 
 
 @dataclass
@@ -71,7 +66,7 @@ class RunConfig:
     output_path: str = "out"
 
 
-def _require_keys(mapping: dict, allowed: set[str], context: str) -> None:
+def _require_keys(mapping: dict, allowed, context: str) -> None:
     for key in mapping:
         if key not in allowed:
             raise ConfigError(f"{context}.{key}", "unknown field")
@@ -82,36 +77,54 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _reject_booleans(value, context: str) -> None:
-    if isinstance(value, bool):
-        raise ConfigError(context, "must be a number, not a boolean")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _reject_booleans(item, f"{context}.{key}")
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _reject_booleans(item, f"{context}[{i}]")
+def _number(value, context: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(context, "must be a number")
+    return float(value)
 
 
-def _range_from(entry, context: str) -> np.ndarray:
-    """Accept either an explicit list or a {start, stop, step} mapping."""
+def _photon_number(value, context: str) -> int:
+    if not _is_int(value) or value < 0:
+        raise ConfigError(context, "must be a non-negative integer")
+    return value
+
+
+def _parse_fields(raw, fields: dict, context: str) -> dict:
+    """Check a mapping against ``fields`` (name -> (parser, default)) and parse it.
+
+    A field left out or given as null takes its default.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(context, "expected a mapping")
+    _require_keys(raw, fields, context)
+    typed = {}
+    for name, (parse, default) in fields.items():
+        value = default if raw.get(name) is None else raw[name]
+        if value is _REQUIRED:
+            raise ConfigError(f"{context}.{name}", "missing")
+        typed[name] = None if value is None else parse(value, f"{context}.{name}")
+    return typed
+
+
+def _grid(entry, context: str, item=_number) -> np.ndarray:
+    """An explicit list or a {start, stop, step} mapping; ``item`` parses each value."""
     if isinstance(entry, dict):
-        _require_keys(entry, {"start", "stop", "step"}, context)
-        try:
-            start, stop, step = entry["start"], entry["stop"], entry["step"]
-        except KeyError as exc:
-            raise ConfigError(f"{context}.{exc.args[0]}", "missing") from exc
-        if not all(isinstance(v, (int, float)) for v in (start, stop, step)):
-            raise ConfigError(context, "start, stop and step must be numbers")
+        bounds = dict.fromkeys(("start", "stop", "step"), (item, _REQUIRED))
+        start, stop, step = _parse_fields(entry, bounds, context).values()
         if step <= 0:
             raise ConfigError(f"{context}.step", "must be positive")
         entry = start + step * np.arange(int(round((stop - start) / step)) + 1)
-    elif not isinstance(entry, list):
+    elif isinstance(entry, list):
+        entry = [item(value, f"{context}[{i}]") for i, value in enumerate(entry)]
+    else:
         raise ConfigError(context, "expected list or {start, stop, step}")
-    grid = np.asarray(entry, dtype=float)
-    if grid.size == 0:
+    if len(entry) == 0:
         raise ConfigError(context, "grid has no points")
-    return grid
+    return np.asarray(entry)
+
+
+def _photon_grid(entry, context: str) -> np.ndarray:
+    return _grid(entry, context, _photon_number)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -121,10 +134,14 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("<root>", "config must be a mapping")
     _require_keys(raw, {"experiment", "grids", "device", "shots", "seed", "output_path"}, "config")
     experiment = raw.get("experiment")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError("experiment", f"must be one of {', '.join(EXPERIMENTS)}")
+    if experiment not in _EXPERIMENT_TABLE:
+        raise ConfigError("experiment", f"must be one of {', '.join(_EXPERIMENT_TABLE)}")
     device_raw = raw.get("device") or {}
+    if not isinstance(device_raw, dict):
+        raise ConfigError("device", "must be a mapping")
     _require_keys(device_raw, DEVICE_FIELDS, "device")
+    for key, value in device_raw.items():
+        _number(value, f"device.{key}")
     try:
         device = DeviceParams(**device_raw)
     except ValueError as exc:
@@ -138,7 +155,6 @@ def load_config(path: str | Path) -> RunConfig:
     grids = raw.get("grids") or {}
     if not isinstance(grids, dict):
         raise ConfigError("grids", "must be a mapping")
-    _reject_booleans(grids, "grids")
     return RunConfig(
         experiment=experiment,
         grids=grids,
@@ -186,89 +202,67 @@ def _sample(probabilities: np.ndarray, config: RunConfig, rng: np.random.Generat
     return rng.binomial(config.shots, np.clip(probabilities, 0.0, 1.0)) / config.shots
 
 
+# Filter kind -> (constructor, fields after the target photon number).
+_FILTERS = {
+    "sinusoidal": (sinusoidal_filter, {"theta": (_number, _REQUIRED)}),
+    "generalized": (generalized_filter, {"theta": (_number, _REQUIRED), "phi": (_number, 0.0)}),
+    "gaussian": (gaussian_filter, {"sigma": (_number, _REQUIRED)}),
+}
+
+
 def _parse_schedule(raw, context: str) -> list[FilterSpec]:
+    if not isinstance(raw, list):
+        raise ConfigError(context, "expected a list of filters")
     specs = []
     for i, entry in enumerate(raw):
         ctx = f"{context}[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(ctx, "expected a mapping")
-        _require_keys(entry, {"kind", "theta", "phi", "sigma"}, ctx)
         kind = entry.get("kind")
+        if kind not in _FILTERS:
+            raise ConfigError(f"{ctx}.kind", f"must be one of {', '.join(_FILTERS)}")
+        make, fields = _FILTERS[kind]
+        args = _parse_fields({k: v for k, v in entry.items() if k != "kind"}, fields, ctx)
         try:
-            if kind == "sinusoidal":
-                specs.append(sinusoidal_filter(0, float(entry["theta"])))
-            elif kind == "generalized":
-                specs.append(generalized_filter(0, float(entry["theta"]), float(entry.get("phi", 0.0))))
-            elif kind == "gaussian":
-                specs.append(gaussian_filter(0, float(entry["sigma"])))
-            else:
-                raise ConfigError(f"{ctx}.kind", "must be sinusoidal, generalized or gaussian")
-        except (KeyError, ValueError) as exc:
+            specs.append(make(0, *args.values()))
+        except ValueError as exc:
             raise ConfigError(ctx, str(exc)) from exc
     return specs
 
 
-def _grid_int(grids: dict, key: str, context: str) -> int:
-    if key not in grids:
-        raise ConfigError(f"{context}.{key}", "missing")
-    value = grids[key]
-    if not _is_int(value) or value < 0:
-        raise ConfigError(f"{context}.{key}", "must be a non-negative integer")
-    return value
-
-
-def _run_displacement_sweep(config: RunConfig):
-    grids = config.grids
-    _require_keys(grids, {"N", "beta"}, "grids")
-    n = _grid_int(grids, "N", "grids")
-    betas = _range_from(grids.get("beta", {"start": 0.0, "stop": 1.0, "step": 0.02}), "grids.beta")
-    pg = _sample(parity_curve_ideal(n, betas), config, np.random.default_rng(config.seed))
+def _run_displacement_sweep(config: RunConfig, N, beta):
+    pg = _sample(parity_curve_ideal(N, beta), config, np.random.default_rng(config.seed))
     fisher = [
-        cfi_of_curve(lambda x: parity_curve_ideal(n, x), float(b),
-                     lambda x: parity_curve_deriv(n, x))
-        for b in betas
+        cfi_of_curve(lambda x: parity_curve_ideal(N, x), float(b),
+                     lambda x: parity_curve_deriv(N, x))
+        for b in beta
     ]
-    rows = list(zip(betas, pg, fisher))
+    rows = list(zip(beta, pg, fisher))
     columns = ["beta (dimensionless)", "p_g (probability)", "fisher (1/beta^2)"]
-    return columns, rows, [default_spec(n).dim], [f"N = {n}"]
+    return columns, rows, [default_spec(N).dim], [f"N = {N}"]
 
 
-def _run_phase_sweep(config: RunConfig):
-    grids = config.grids
-    _require_keys(grids, {"N", "phi"}, "grids")
-    n = _grid_int(grids, "N", "grids")
-    gamma = math.sqrt(n) if n > 0 else 1.0
-    phis = _range_from(grids.get("phi", {"start": 0.0, "stop": 0.5, "step": 0.01}), "grids.phi")
-    pg = _sample(phase_curve_ideal(n, gamma, phis), config, np.random.default_rng(config.seed))
+def _run_phase_sweep(config: RunConfig, N, phi):
+    gamma = math.sqrt(N) if N > 0 else 1.0
+    pg = _sample(phase_curve_ideal(N, gamma, phi), config, np.random.default_rng(config.seed))
     fisher = [
-        cfi_of_curve(lambda x: phase_curve_ideal(n, gamma, x), float(p))
-        for p in phis
+        cfi_of_curve(lambda x: phase_curve_ideal(N, gamma, x), float(p))
+        for p in phi
     ]
-    rows = list(zip(phis, pg, fisher))
+    rows = list(zip(phi, pg, fisher))
     columns = ["phi (rad)", "p_g (probability)", "fisher (1/rad^2)"]
-    return columns, rows, [default_spec(2 * n).dim], [f"N = {n}", f"gamma^2 = {_fmt(gamma * gamma)}"]
+    return columns, rows, [default_spec(2 * N).dim], [f"N = {N}", f"gamma^2 = {_fmt(gamma * gamma)}"]
 
 
-def _run_ramsey_scan(config: RunConfig):
-    grids = config.grids
-    _require_keys(grids, {"n_values", "theta", "target_n"}, "grids")
-    n_values = grids.get("n_values")
-    if not (isinstance(n_values, list) and n_values and all(_is_int(n) and n >= 0 for n in n_values)):
-        raise ConfigError("grids.n_values", "must be a non-empty list of non-negative integers")
-    target_n = _grid_int(grids, "target_n", "grids") if "target_n" in grids else 0
-    thetas = _range_from(
-        grids.get("theta", {"start": 0.0, "stop": 2.0 * math.pi, "step": 2.0 * math.pi / 512}),
-        "grids.theta",
-    )
+def _run_ramsey_scan(config: RunConfig, n_values, theta, target_n):
     rng = np.random.default_rng(config.seed)
-    rows = []
-    extra = []
+    rows, extra = [], []
     for n in n_values:
-        trace = _sample(ramsey_trace(n, target_n, thetas), config, rng)
-        for theta, p in zip(thetas, trace):
-            rows.append((n, theta, p))
+        trace = _sample(ramsey_trace(n, target_n, theta), config, rng)
+        for t, p in zip(theta, trace):
+            rows.append((n, t, p))
         try:
-            freq = fit_ramsey_frequency(thetas, trace)
+            freq = fit_ramsey_frequency(theta, trace)
             extra.append(f"fitted frequency n={n}: {_fmt(freq)}")
         except ValueError:
             extra.append(f"fitted frequency n={n}: none")
@@ -276,18 +270,12 @@ def _run_ramsey_scan(config: RunConfig):
     return columns, rows, [max(n_values) + 1], extra
 
 
-def _run_prepare_fock(config: RunConfig):
-    grids = config.grids
-    _require_keys(grids, {"N", "init_alpha", "schedule", "gaussian_sigma"}, "grids")
-    n = _grid_int(grids, "N", "grids")
-    init_alpha = grids.get("init_alpha")
-    if "schedule" in grids:
-        schedule = _parse_schedule(grids["schedule"], "grids.schedule")
-    else:
-        schedule = default_fock_schedule(n, float(grids.get("gaussian_sigma", 0.9)))
-    spec = default_spec(max(n, int(abs(init_alpha or 0) ** 2)) )
+def _run_prepare_fock(config: RunConfig, N, init_alpha, schedule, gaussian_sigma):
+    if schedule is None:
+        schedule = default_fock_schedule(N, gaussian_sigma)
+    spec = default_spec(max(N, int(abs(init_alpha or 0) ** 2)))
     state, p_success, fidelity = prepare_fock(
-        n, schedule, spec, init_alpha=init_alpha if init_alpha is None else complex(init_alpha)
+        N, schedule, spec, init_alpha=init_alpha if init_alpha is None else complex(init_alpha)
     )
     pops = state.populations()
     rows = [(k, pops[k]) for k in range(spec.dim) if pops[k] > 1e-14]
@@ -299,15 +287,7 @@ def _run_prepare_fock(config: RunConfig):
     return columns, rows, [spec.dim], extra
 
 
-def _run_resolved_sweep(config: RunConfig):
-    grids = config.grids
-    _require_keys(grids, {"alpha", "m"}, "grids")
-    alpha = grids.get("alpha")
-    if not isinstance(alpha, (int, float)):
-        raise ConfigError("grids.alpha", "missing" if alpha is None else "must be a number")
-    m = _grid_int(grids, "m", "grids")
-    if not 1 <= m <= 6:
-        raise ConfigError("grids.m", "must be in [1, 6]")
+def _run_resolved_sweep(config: RunConfig, alpha, m):
     spec = default_spec(int(abs(alpha) ** 2) + 1)
     state = coherent_state(complex(alpha), spec)
     traces = resolve_photon_cascade(state, m)
@@ -327,32 +307,22 @@ def _run_resolved_sweep(config: RunConfig):
     return columns, rows, [spec.dim], extra
 
 
-def _run_scaling_study(config: RunConfig):
-    grids = config.grids
-    _require_keys(grids, {"N"}, "grids")
-    ns = _range_from(grids.get("N", {"start": 1, "stop": 40, "step": 1}), "grids.N")
-    rows = []
-    precisions = []
-    for n in ns:
-        fisher = 4.0 * (2.0 * n + 1.0)
-        precision = 1.0 / math.sqrt(fisher)
-        precisions.append(precision)
-        rows.append((int(n), fisher, precision))
-    exponent, intercept = fit_scaling_exponent(ns, precisions)
+def _run_scaling_study(config: RunConfig, N):
+    fisher = 4.0 * (2.0 * N + 1.0)
+    precisions = 1.0 / np.sqrt(fisher)
+    exponent, intercept = fit_scaling_exponent(N, precisions)
+    rows = list(zip(N, fisher, precisions))
     columns = ["N (photons)", "fisher (1/beta^2)", "delta_beta (dimensionless)"]
     extra = [f"scaling exponent = {_fmt(exponent)}", f"scaling intercept = {_fmt(intercept)}"]
-    return columns, rows, [default_spec(int(ns.max())).dim], extra
+    return columns, rows, [default_spec(int(N.max())).dim], extra
 
 
-def _run_toy_model_study(config: RunConfig):
-    grids = config.grids
-    _require_keys(grids, {"N"}, "grids")
-    ns = _range_from(grids.get("N", {"start": 1, "stop": 100, "step": 1}), "grids.N")
+def _run_toy_model_study(config: RunConfig, N):
     d = config.device
     rows = []
-    for n in ns:
+    for n in N:
         r = toy_model(int(n), d)
-        rows.append((int(n), r.lambda1, r.lambda2, r.precision, r.gain_db))
+        rows.append((n, r.lambda1, r.lambda2, r.precision, r.gain_db))
     columns = [
         "N (photons)", "lambda1 (dimensionless)", "lambda2 (dimensionless)",
         "delta_beta (dimensionless)", "gain (dB)",
@@ -366,31 +336,56 @@ def _run_toy_model_study(config: RunConfig):
     return columns, rows, [], extra
 
 
-def _run_wigner_map(config: RunConfig):
-    grids = config.grids
-    _require_keys(grids, {"N", "re", "im"}, "grids")
-    n = _grid_int(grids, "N", "grids")
-    res = _range_from(grids.get("re", {"start": -4.0, "stop": 4.0, "step": 0.25}), "grids.re")
-    ims = _range_from(grids.get("im", {"start": -4.0, "stop": 4.0, "step": 0.25}), "grids.im")
+def _run_wigner_map(config: RunConfig, N, re, im):
     # Cahill-Glauber closed form of the Fock-state Wigner function:
     # W(alpha) = (2/pi) (-1)^N exp(-2|alpha|^2) L_N(4|alpha|^2); no truncation.
-    re_alpha, im_alpha = (g.ravel() for g in np.meshgrid(res, ims))
-    wigner = (2.0 / math.pi) * (-1.0) ** n * parity_shape(n, np.hypot(re_alpha, im_alpha))[0]
+    re_alpha, im_alpha = (g.ravel() for g in np.meshgrid(re, im))
+    wigner = (2.0 / math.pi) * (-1.0) ** N * parity_shape(N, np.hypot(re_alpha, im_alpha))[0]
     rows = list(zip(re_alpha, im_alpha, wigner))
     columns = ["re_alpha (dimensionless)", "im_alpha (dimensionless)", "wigner (1/area)"]
-    return columns, rows, [], [f"N = {n}"]
+    return columns, rows, [], [f"N = {N}"]
 
 
-_RUNNERS = {
-    "DisplacementSweep": _run_displacement_sweep,
-    "PhaseSweep": _run_phase_sweep,
-    "RamseyScan": _run_ramsey_scan,
-    "PrepareFock": _run_prepare_fock,
-    "ResolvedSweep": _run_resolved_sweep,
-    "ScalingStudy": _run_scaling_study,
-    "ToyModelStudy": _run_toy_model_study,
-    "WignerMap": _run_wigner_map,
+# Experiment -> (runner, grid fields).  Each field maps to (parser, default);
+# a default is a config value and goes through the parser like one.
+_EXPERIMENT_TABLE = {
+    "PrepareFock": (_run_prepare_fock, {
+        "N": (_photon_number, _REQUIRED),
+        "init_alpha": (_number, None),
+        "schedule": (_parse_schedule, None),
+        "gaussian_sigma": (_number, 0.9),
+    }),
+    "RamseyScan": (_run_ramsey_scan, {
+        "n_values": (_photon_grid, _REQUIRED),
+        "theta": (_grid, dict(start=0.0, stop=2.0 * math.pi, step=2.0 * math.pi / 512)),
+        "target_n": (_photon_number, 0),
+    }),
+    "DisplacementSweep": (_run_displacement_sweep, {
+        "N": (_photon_number, _REQUIRED),
+        "beta": (_grid, dict(start=0.0, stop=1.0, step=0.02)),
+    }),
+    "PhaseSweep": (_run_phase_sweep, {
+        "N": (_photon_number, _REQUIRED),
+        "phi": (_grid, dict(start=0.0, stop=0.5, step=0.01)),
+    }),
+    "ResolvedSweep": (_run_resolved_sweep, {
+        "alpha": (_number, _REQUIRED),
+        "m": (_photon_number, _REQUIRED),
+    }),
+    "ScalingStudy": (_run_scaling_study, {"N": (_photon_grid, dict(start=1, stop=40, step=1))}),
+    "ToyModelStudy": (_run_toy_model_study, {"N": (_photon_grid, dict(start=1, stop=100, step=1))}),
+    "WignerMap": (_run_wigner_map, {
+        "N": (_photon_number, _REQUIRED),
+        "re": (_grid, dict(start=-4.0, stop=4.0, step=0.25)),
+        "im": (_grid, dict(start=-4.0, stop=4.0, step=0.25)),
+    }),
 }
+
+
+def _compute(config: RunConfig):
+    """Parse the grids through the table and run the experiment; writes nothing."""
+    runner, fields = _EXPERIMENT_TABLE[config.experiment]
+    return runner(config, **_parse_fields(config.grids, fields, "grids"))
 
 
 def resolved_config_dict(config: RunConfig) -> dict:
@@ -408,19 +403,23 @@ def run(config: RunConfig, out_dir: str | Path | None = None, threads: int = 1) 
     """Execute one experiment; returns the written file paths.
 
     ``threads`` must be at least 1 and changes nothing: every experiment
-    runs in the calling thread.
+    runs in the calling thread.  Output that cannot be written raises
+    ValueError.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     target = Path(os.environ.get(OUTDIR_ENV) or out_dir or config.output_path)
-    columns, rows, dims, extra = _RUNNERS[config.experiment](config)
-    target.mkdir(parents=True, exist_ok=True)
+    columns, rows, dims, extra = _compute(config)
     stem = config.experiment.lower()
     echo_path = target / f"{stem}_config.yaml"
-    with open(echo_path, "w") as fh:
-        yaml.safe_dump(resolved_config_dict(config), fh, sort_keys=True)
     csv_path = target / f"{stem}_results.csv"
-    _write_csv(csv_path, _provenance(config, dims, extra), columns, rows)
+    try:
+        target.mkdir(parents=True, exist_ok=True)
+        with open(echo_path, "w") as fh:
+            yaml.safe_dump(resolved_config_dict(config), fh, sort_keys=True)
+        _write_csv(csv_path, _provenance(config, dims, extra), columns, rows)
+    except OSError as exc:
+        raise ValueError(f"cannot write output {exc.filename}: {exc.strerror}") from exc
     return [echo_path, csv_path]
 
 
@@ -434,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("--out", default=None)
     run_p.add_argument("--threads", type=int, default=1, help="at least 1; has no effect")
 
-    val_p = sub.add_parser("validate", help="validate a config without running it")
+    val_p = sub.add_parser("validate", help="dry run: parse and compute a config, write nothing")
     val_p.add_argument("config")
 
     sub.add_parser("version", help="print the tool version")
@@ -445,21 +444,18 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     try:
         config = load_config(args.config)
+        if args.command == "validate":
+            _compute(config)
+            print(f"ok: {config.experiment}")
+            return 0
+        if args.seed is not None:
+            config.seed = args.seed
+        paths = run(config, out_dir=args.out, threads=args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (OSError, yaml.YAMLError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
-        return 2
-    if args.command == "validate":
-        print(f"ok: {config.experiment}")
-        return 0
-    if args.seed is not None:
-        config.seed = args.seed
-    try:
-        paths = run(config, out_dir=args.out, threads=args.threads)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (FockmetError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -21,14 +21,6 @@ class ModelBreakdownError(FockmetError):
     """A perturbative model was evaluated outside its validity domain."""
 
 
-class StepSizeError(FockmetError):
-    """Integrator step size violates the stability bound.
-
-    Nothing in the package raises it: open-system propagation is exact and
-    has no step size.  The name stays importable for existing callers.
-    """
-
-
 class ConfigError(FockmetError):
     """Run configuration failed validation."""
 

@@ -156,9 +156,9 @@ def parity_prob_noisy(N: int, beta: float, params: DeviceParams) -> float:
     s_np1 = parity_shape(N + 1, beta)[0]
     s_nm1 = parity_shape(N - 1, beta)[0] if N >= 1 else 0.0
     p_g1 = sign * (
-        (-k1 * t * (N / 4.0 + beta * beta / 2.0 - 0.25) - 0.25 * (k3 + k4) * t) * s_n
+        (-k1 * t * (beta * beta / 2.0 - 0.25) - 0.25 * (k3 + k4) * t) * s_n
         - k1 * t * (N + 1) / 4.0 * s_np1
-        - 0.25 * k1 * t * s_nm1
+        - k1 * t * N / 4.0 * s_nm1
     )
     return parity_curve_ideal(N, beta) + p_g1
 

@@ -37,6 +37,59 @@ DISPLACEMENT = {
 }
 
 
+# Grids that ``run`` rejects with a config error naming the field.
+BAD_GRIDS = [
+    pytest.param({"experiment": "RamseyScan", "grids": {"n_values": [3.7, 5]}}, "grids.n_values",
+                 id="fractional-n"),
+    pytest.param({"experiment": "RamseyScan", "grids": {"n_values": [3, 5], "target_n": 1.5}},
+                 "grids.target_n", id="fractional-target"),
+    pytest.param({"experiment": "DisplacementSweep",
+                  "grids": {"N": 2, "beta": {"start": 1.0, "stop": 0.0, "step": 0.1}}}, "grids.beta",
+                 id="empty-range"),
+    pytest.param({"experiment": "DisplacementSweep", "grids": {"N": 2, "beta": []}}, "grids.beta",
+                 id="empty-list"),
+    pytest.param({"experiment": "DisplacementSweep",
+                  "grids": {"N": 2, "beta": {"start": "0", "stop": 1.0, "step": 0.1}}}, "grids.beta",
+                 id="string-start"),
+    pytest.param({"experiment": "ResolvedSweep", "grids": {"alpha": "1.5", "m": 3}}, "grids.alpha",
+                 id="string-alpha"),
+]
+
+# Each config with a substring of the one stderr line both commands must print.
+REJECTED = BAD_GRIDS + [
+    pytest.param({"experiment": "PrepareFock", "grids": {"N": 3, "init_alpha": "1.5"}},
+                 "config error: grids.init_alpha", id="string-init-alpha"),
+    pytest.param({"experiment": "ToyModelStudy", "grids": {"N": {"start": 1, "stop": 200, "step": 1}}},
+                 "ModelBreakdownError", id="toy-model-past-breakdown"),
+    pytest.param({"experiment": "ScalingStudy", "grids": {"N": [0, 1, 2]}},
+                 "must be positive", id="scaling-zero-photons"),
+    pytest.param({"experiment": "ScalingStudy", "grids": {"N": [2.5, 3, 4]}},
+                 "config error: grids.N[0]", id="scaling-fractional-n"),
+    pytest.param({"experiment": "ScalingStudy", "grids": {"N": {"start": 1, "stop": 3, "step": 0.5}}},
+                 "config error: grids.N.step", id="scaling-fractional-step"),
+    pytest.param({"experiment": "ToyModelStudy", "grids": {"N": [2.5, 3, 4]}},
+                 "config error: grids.N[0]", id="toy-fractional-n"),
+    pytest.param({"experiment": "PhaseSweep", "grids": {"N": 3, "phi": [0.1, "x"]}},
+                 "config error: grids.phi[1]", id="string-in-list"),
+    pytest.param({"experiment": "PrepareFock",
+                  "grids": {"N": 3, "schedule": {"kind": "gaussian", "sigma": 0.9}}},
+                 "config error: grids.schedule", id="schedule-mapping"),
+    pytest.param({"experiment": "PrepareFock", "grids": {"N": 3, "gaussian_sigma": "0.9"}},
+                 "config error: grids.gaussian_sigma", id="string-gaussian-sigma"),
+    pytest.param({"experiment": "PrepareFock",
+                  "grids": {"N": 3, "schedule": [{"kind": "sinusoidal", "theta": "1.5"}]}},
+                 "config error: grids.schedule[0].theta", id="string-schedule-theta"),
+    pytest.param({"experiment": "PrepareFock",
+                  "grids": {"N": 3, "schedule": [{"kind": "sinusoidal", "theta": 7.0}]}},
+                 "config error: grids.schedule[0]: theta must be in", id="schedule-theta-range"),
+    pytest.param({"experiment": "ResolvedSweep", "grids": {"alpha": 1.0, "m": 0}},
+                 "m must be in [1, 6]", id="cascade-depth"),
+    pytest.param(dict(DISPLACEMENT, device={"T_M": "1e-6"}), "config error: device.T_M", id="string-device"),
+    pytest.param(dict(DISPLACEMENT, device={"kappa1": True}), "config error: device.kappa1",
+                 id="boolean-device"),
+]
+
+
 class TestLoadConfig:
     def test_valid_config(self, tmp_path):
         cfg = load_config(_write_config(tmp_path / "c.yaml", DISPLACEMENT))
@@ -247,6 +300,23 @@ class TestMain:
         assert len(csv_files) == 1
         assert "seed = 99" in csv_files[0].read_text()
 
+    def test_validate_is_a_dry_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        path = _write_config(tmp_path / "c.yaml", DISPLACEMENT)
+        assert main(["validate", path]) == 0
+        assert os.listdir(tmp_path) == ["c.yaml"]
+
+    @pytest.mark.parametrize("below_file", [False, True], ids=["existing-file", "below-a-file"])
+    def test_uncreatable_out_is_a_user_error(self, tmp_path, capsys, below_file):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "sub" if below_file else blocker
+        path = _write_config(tmp_path / "c.yaml", DISPLACEMENT)
+        assert main(["run", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert str(out) in err and len(err.splitlines()) == 1
+        assert "cannot read config" not in err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.yaml")]) == 2
 
@@ -286,26 +356,28 @@ class TestMain:
         with pytest.raises(ConfigError, match="grids.N"):
             run(config, out_dir=tmp_path)
 
-    @pytest.mark.parametrize(
-        "payload, field",
-        [
-            ({"experiment": "RamseyScan", "grids": {"n_values": [3.7, 5]}}, "grids.n_values"),
-            ({"experiment": "RamseyScan", "grids": {"n_values": [3, 5], "target_n": 1.5}}, "grids.target_n"),
-            ({"experiment": "DisplacementSweep",
-              "grids": {"N": 2, "beta": {"start": 1.0, "stop": 0.0, "step": 0.1}}}, "grids.beta"),
-            ({"experiment": "DisplacementSweep", "grids": {"N": 2, "beta": []}}, "grids.beta"),
-            ({"experiment": "DisplacementSweep",
-              "grids": {"N": 2, "beta": {"start": "0", "stop": 1.0, "step": 0.1}}}, "grids.beta"),
-            ({"experiment": "ResolvedSweep", "grids": {"alpha": "1.5", "m": 3}}, "grids.alpha"),
-        ],
-        ids=["fractional-n", "fractional-target", "empty-range", "empty-list", "string-start", "string-alpha"],
-    )
+    @pytest.mark.parametrize("payload, field", BAD_GRIDS)
     def test_run_rejects_bad_grid(self, tmp_path, capsys, payload, field):
         path = _write_config(tmp_path / "c.yaml", payload)
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.strip()
         assert err.startswith("config error") and field in err and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("payload, expected", REJECTED)
+def test_validate_agrees_with_run(tmp_path, monkeypatch, capsys, payload, expected):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUTDIR_ENV, raising=False)
+    path = _write_config(tmp_path / "c.yaml", payload)
+    assert main(["validate", path]) == 2
+    validate_err = capsys.readouterr().err.strip()
+    assert os.listdir(tmp_path) == ["c.yaml"]
+    assert main(["run", path]) == 2
+    run_err = capsys.readouterr().err.strip()
+    assert validate_err == run_err and len(run_err.splitlines()) == 1
+    assert expected in run_err
+    assert os.listdir(tmp_path) == ["c.yaml"]
 
 
 def test_cli_import_loads_no_scipy():

@@ -213,6 +213,24 @@ class TestNoisyParity:
         p_model = parity_prob_noisy(4, 0.2, params)
         assert abs(p_sim - p_model) < 5e-4
 
+    @pytest.mark.parametrize("n, dim", [(1, 12), (4, 16), (10, 24)])
+    def test_gap_to_full_simulation_is_second_order(self, n, dim):
+        # An exact first-order term leaves a gap of order (kappa T)^2, so
+        # halving every rate divides it by 4; a first-order error divides it by 2.
+        gaps = []
+        for scale in (0.1, 0.05):
+            params = _scaled_params(scale)
+            gap = 0.0
+            for beta in np.linspace(0.0, 0.6, 7):
+                rho, h, jumps = qubit_cavity_parity_setup(n, beta, params, HilbertSpec(dim, 0))
+                evolved = lindblad_evolve(
+                    rho, LindbladSpec(h, jumps, duration=params.T_M, dt=params.T_M)
+                )
+                p_sim = parity_readout_probability(evolved)
+                gap = max(gap, abs(p_sim - parity_prob_noisy(n, beta, params)))
+            gaps.append(gap)
+        assert 3.5 <= gaps[0] / gaps[1] <= 4.5
+
 
 class TestClosedFormModels:
     def test_displacement_dephasing_bias_value(self):
