@@ -38,7 +38,7 @@ from .composite import (
 )
 from .errors import ConfigError, FockmetError
 from .estimation import fit_ramsey_frequency, fit_scaling_exponent
-from .fockspace import coherent_state, default_spec
+from .fockspace import HilbertSpec, coherent_state, default_spec
 from .fockspace import wigner_value  # noqa: F401  bench/test_bench.py reads cli.wigner_value
 from .metrology import (
     cfi_of_curve,
@@ -54,6 +54,11 @@ OUTDIR_ENV = "FOCKMET_OUTDIR"
 DEVICE_FIELDS = {f.name for f in dataclasses.fields(DeviceParams)}
 
 _REQUIRED = object()  # default of a field the config must give
+
+# Ceiling on the truncation dim a config may derive (dim 540 at N = 400).
+# A coherent state's vacuum amplitude e^{-|alpha|^2/2} underflows past
+# |alpha|^2 ~ 1490 (dim ~ 1740), so no amplitude that can run is refused.
+MAX_DIM = 2048
 
 
 @dataclass
@@ -80,7 +85,13 @@ def _is_int(value) -> bool:
 def _number(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(context, "must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(context, "must be a finite number")
+    return number
 
 
 def _photon_number(value, context: str) -> int:
@@ -104,6 +115,18 @@ def _parse_fields(raw, fields: dict, context: str) -> dict:
             raise ConfigError(f"{context}.{name}", "missing")
         typed[name] = None if value is None else parse(value, f"{context}.{name}")
     return typed
+
+
+def _truncation(photons, context: str) -> HilbertSpec:
+    """``default_spec`` for ``photons`` photons, checked before anything is allocated.
+
+    Raises a ConfigError naming ``context`` when its dim would pass MAX_DIM.
+    """
+    if photons <= MAX_DIM:
+        spec = default_spec(int(photons))
+        if spec.dim <= MAX_DIM:
+            return spec
+    raise ConfigError(context, f"needs a truncation above dim {MAX_DIM}")
 
 
 def _grid(entry, context: str, item=_number) -> np.ndarray:
@@ -271,9 +294,11 @@ def _run_ramsey_scan(config: RunConfig, n_values, theta, target_n):
 
 
 def _run_prepare_fock(config: RunConfig, N, init_alpha, schedule, gaussian_sigma):
+    # min() keeps the square finite; past MAX_DIM the bound rejects it anyway.
+    alpha_photons = int(min(abs(init_alpha or 0), MAX_DIM) ** 2)
+    spec = _truncation(max(N, alpha_photons), "grids.N" if N >= alpha_photons else "grids.init_alpha")
     if schedule is None:
         schedule = default_fock_schedule(N, gaussian_sigma)
-    spec = default_spec(max(N, int(abs(init_alpha or 0) ** 2)))
     state, p_success, fidelity = prepare_fock(
         N, schedule, spec, init_alpha=init_alpha if init_alpha is None else complex(init_alpha)
     )
@@ -288,7 +313,7 @@ def _run_prepare_fock(config: RunConfig, N, init_alpha, schedule, gaussian_sigma
 
 
 def _run_resolved_sweep(config: RunConfig, alpha, m):
-    spec = default_spec(int(abs(alpha) ** 2) + 1)
+    spec = _truncation(int(min(abs(alpha), MAX_DIM) ** 2) + 1, "grids.alpha")
     state = coherent_state(complex(alpha), spec)
     traces = resolve_photon_cascade(state, m)
     rows = [

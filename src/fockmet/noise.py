@@ -40,25 +40,49 @@ class LindbladSpec:
             raise ValueError("need 0 < dt <= duration")
 
 
+def _lindblad_coo(hamiltonian: np.ndarray, jumps: list[tuple[LinearOp, float]]):
+    """COO triplets (rows, cols, values) of the Lindblad generator on row-major vec(rho).
+
+    With row-major vectorisation vec(A X B) = (A kron B^T) vec(X).  Writing
+    G = sum kappa L^dag L / 2, the master equation is
+    K rho + rho K' + sum kappa L rho L^dag with K = -iH - G and K' = iH - G,
+    so the generator is K kron I + I kron K'^T + sum kappa L kron L*.  Each
+    A kron B is index arithmetic on the nonzeros of the dense A and B, and
+    duplicate positions are left for the CSR conversion to sum.
+    """
+    dim = hamiltonian.shape[0]
+    eye = np.eye(dim)
+    g = np.zeros((dim, dim), dtype=complex)
+    for op, rate in jumps:
+        g += 0.5 * rate * (op.matrix.conj().T @ op.matrix)
+    pairs = [(-1j * hamiltonian - g, eye), (eye, (1j * hamiltonian - g).T)]
+    pairs += [(rate * op.matrix, op.matrix.conj()) for op, rate in jumps]
+    rows, cols, vals = [], [], []
+    for a, b in pairs:
+        a_rows, a_cols = np.nonzero(a)
+        b_rows, b_cols = np.nonzero(b)
+        rows.append((a_rows[:, None] * dim + b_rows).ravel())
+        cols.append((a_cols[:, None] * dim + b_cols).ravel())
+        vals.append(np.outer(a[a_rows, a_cols], b[b_rows, b_cols]).ravel())
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, size: int):
+    """One COO-to-CSR conversion: duplicates summed, exact zeros dropped."""
+    import scipy.sparse as sp
+
+    out = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
+    out.eliminate_zeros()
+    return out
+
+
 def _liouvillian(hamiltonian: np.ndarray, jumps: list[tuple[LinearOp, float]]):
     """Sparse Lindblad generator acting on the row-major vec(rho).
 
-    With row-major vectorisation vec(A X B) = (A kron B^T) vec(X), so
-    -i[H, rho] is -i(H kron I - I kron H^T) and each jump adds
-    kappa (L kron L* - (L^dag L kron I + I kron (L^dag L)^T) / 2).
+    Assembled in one pass: the COO triplets of every term from
+    ``_lindblad_coo`` go through a single conversion to canonical CSR.
     """
-    import scipy.sparse as sp
-
-    eye = sp.identity(hamiltonian.shape[0], dtype=complex, format="csr")
-    h = sp.csr_matrix(hamiltonian)
-    liou = -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
-    for op, rate in jumps:
-        l_mat = sp.csr_matrix(op.matrix)
-        ldl = l_mat.conj().T @ l_mat
-        liou = liou + rate * (
-            sp.kron(l_mat, l_mat.conj()) - 0.5 * (sp.kron(ldl, eye) + sp.kron(eye, ldl.T))
-        )
-    return liou.tocsr()
+    return _csr(*_lindblad_coo(hamiltonian, jumps), hamiltonian.shape[0] ** 2)
 
 
 def lindblad_evolve(rho: MixedState, spec: LindbladSpec) -> MixedState:
@@ -109,7 +133,6 @@ def perturbation_first_order(
     but no longer sets the accuracy.  Warns when any kappa_m * T exceeds
     0.3.  Returns the traceless correction matrix.
     """
-    import scipy.sparse as sp
     from scipy.sparse.linalg import expm_multiply
 
     for _, rate in jumps:
@@ -123,10 +146,16 @@ def perturbation_first_order(
 
     h = hamiltonian.matrix
     dim = h.shape[0]
-    l0 = _liouvillian(h, [])
-    l1 = _liouvillian(np.zeros_like(h), jumps)
-    block = sp.bmat([[l0, l1], [None, l0]], format="csr")
     n = dim * dim
+    # Place L0 at both diagonal blocks and L1 at the top right by index offset.
+    r0, c0, v0 = _lindblad_coo(h, [])
+    r1, c1, v1 = _lindblad_coo(np.zeros_like(h), jumps)
+    block = _csr(
+        np.concatenate([r0, r0 + n, r1]),
+        np.concatenate([c0, c0 + n, c1 + n]),
+        np.concatenate([v0, v0, v1]),
+        2 * n,
+    )
     start = np.concatenate([np.zeros(n, dtype=complex), rho0_of_t(0.0).reshape(-1)])
     out = expm_multiply(block * T, start)
     # The bottom half is exp(-iHT) rho0(0) exp(iHT), the unitary evolution

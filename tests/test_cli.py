@@ -11,8 +11,8 @@ import pytest
 import yaml
 from scipy.special import eval_laguerre
 
-from fockmet import ConfigError, HilbertSpec, __version__, fock_state, wigner_value
-from fockmet.cli import OUTDIR_ENV, RunConfig, load_config, main, run
+from fockmet import ConfigError, HilbertSpec, __version__, default_spec, fock_state, wigner_value
+from fockmet.cli import MAX_DIM, OUTDIR_ENV, RunConfig, _truncation, load_config, main, run
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
@@ -87,6 +87,22 @@ REJECTED = BAD_GRIDS + [
     pytest.param(dict(DISPLACEMENT, device={"T_M": "1e-6"}), "config error: device.T_M", id="string-device"),
     pytest.param(dict(DISPLACEMENT, device={"kappa1": True}), "config error: device.kappa1",
                  id="boolean-device"),
+    pytest.param({"experiment": "DisplacementSweep", "grids": {"N": 2, "beta": [math.nan, 0.1]}},
+                 "config error: grids.beta[0]: must be a finite number", id="nan-in-list"),
+    pytest.param({"experiment": "PhaseSweep", "grids": {"N": 2, "phi": {"start": 0.0, "stop": math.inf,
+                  "step": 0.1}}}, "config error: grids.phi.stop", id="infinite-stop"),
+    pytest.param(dict(DISPLACEMENT, device={"T_M": -math.inf}), "config error: device.T_M",
+                 id="infinite-device"),
+    pytest.param({"experiment": "ResolvedSweep", "grids": {"alpha": 10**400, "m": 3}},
+                 "config error: grids.alpha: must be a finite number", id="integer-past-float-range"),
+    pytest.param({"experiment": "ResolvedSweep", "grids": {"alpha": 1.0e6, "m": 3}},
+                 "config error: grids.alpha: needs a truncation above dim", id="alpha-past-ceiling"),
+    pytest.param({"experiment": "ResolvedSweep", "grids": {"alpha": 1.0e200, "m": 3}},
+                 "config error: grids.alpha: needs a truncation above dim", id="alpha-square-overflows"),
+    pytest.param({"experiment": "PrepareFock", "grids": {"N": 3, "init_alpha": 1.0e6}},
+                 "config error: grids.init_alpha: needs a truncation above dim", id="init-alpha-past-ceiling"),
+    pytest.param({"experiment": "PrepareFock", "grids": {"N": 10**400}},
+                 "config error: grids.N: needs a truncation above dim", id="fock-n-past-ceiling"),
 ]
 
 
@@ -378,6 +394,17 @@ def test_validate_agrees_with_run(tmp_path, monkeypatch, capsys, payload, expect
     assert validate_err == run_err and len(run_err.splitlines()) == 1
     assert expected in run_err
     assert os.listdir(tmp_path) == ["c.yaml"]
+
+
+def test_truncation_ceiling():
+    # The ceiling admits the largest photon number the package is built for.
+    assert _truncation(400, "grids.N") == default_spec(400)
+    assert default_spec(400).dim == 540 <= MAX_DIM
+    last = max(n for n in range(MAX_DIM) if default_spec(n).dim <= MAX_DIM)
+    assert _truncation(last + 0.5, "grids.alpha").dim <= MAX_DIM
+    for photons in (last + 1, 1.0e12, math.inf):
+        with pytest.raises(ConfigError, match="grids.alpha"):
+            _truncation(photons, "grids.alpha")
 
 
 def test_cli_import_loads_no_scipy():

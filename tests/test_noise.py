@@ -27,6 +27,7 @@ from fockmet import (
 )
 from fockmet.metrology import parity_curve_ideal
 from fockmet.noise import (
+    _liouvillian,
     parity_readout_probability,
     qubit_cavity_parity_setup,
     unitary_evolution,
@@ -41,6 +42,58 @@ def _scaled_params(scale: float) -> DeviceParams:
         kappa3=base.kappa3 * scale,
         kappa4=base.kappa4 * scale,
     )
+
+
+def _generator_by_columns(h, jumps):
+    """Oracle: the dense Lindblad generator on row-major vec(rho), one column
+    per matrix unit, each the master equation applied to that unit."""
+    dim = h.shape[0]
+
+    def rhs(rho):
+        out = -1j * (h @ rho - rho @ h)
+        for l_mat, rate in jumps:
+            ldl = l_mat.conj().T @ l_mat
+            out += rate * (l_mat @ rho @ l_mat.conj().T - 0.5 * (ldl @ rho + rho @ ldl))
+        return out
+
+    units = np.eye(dim * dim).reshape(dim * dim, dim, dim)
+    return np.stack([rhs(e).reshape(-1) for e in units], axis=1)
+
+
+def _random_model(dim):
+    """A Hermitian H, a non-normal and a Hermitian jump with rates, and a state."""
+    rng = np.random.default_rng(3)
+
+    def crandn(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    g = crandn(dim, dim)
+    h = 0.5 * (g + g.conj().T) / dim
+    non_normal = crandn(dim, dim) / dim
+    hermitian = np.diag(rng.uniform(0.0, 1.0, dim)).astype(complex)
+    w = crandn(dim, dim)
+    rho0 = w @ w.conj().T
+    return h, [(non_normal, 0.7), (hermitian, 0.4)], rho0 / np.trace(rho0)
+
+
+class TestLiouvillian:
+    @pytest.mark.parametrize("case", ["full", "zero-hamiltonian", "zero-rate-jump", "non-normal-only"])
+    def test_matches_generator_by_columns(self, case):
+        dim = 6
+        spec = HilbertSpec(dim)
+        h, jumps, _ = _random_model(dim)
+        if case == "zero-hamiltonian":
+            h = np.zeros((dim, dim))
+        elif case == "zero-rate-jump":
+            jumps = [(jumps[0][0], 0.0), jumps[1]]
+        elif case == "non-normal-only":
+            jumps = jumps[:1]
+        liou = _liouvillian(h, [(LinearOp(l_mat, spec), rate) for l_mat, rate in jumps])
+        assert np.max(np.abs(liou.toarray() - _generator_by_columns(h, jumps))) <= 1e-14
+        # Canonical CSR: column indices strictly increasing within every row.
+        assert liou.format == "csr" and liou.has_canonical_format
+        for row in range(dim * dim):
+            assert np.all(np.diff(liou.indices[liou.indptr[row]:liou.indptr[row + 1]]) > 0)
 
 
 class TestLindbladEvolve:
@@ -80,35 +133,11 @@ class TestLindbladEvolve:
         assert out.matrix[0, 1] == pytest.approx(expected, rel=1e-6)
 
     def test_matches_dense_liouvillian_expm(self):
-        # Oracle: the generator built column by column from the master
-        # equation applied to each matrix unit, exponentiated densely.
         dim = 6
         spec = HilbertSpec(dim)
-        rng = np.random.default_rng(3)
-
-        def crandn(*shape):
-            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-        g = crandn(dim, dim)
-        h = 0.5 * (g + g.conj().T) / dim
-        non_normal = crandn(dim, dim) / dim
-        hermitian = np.diag(rng.uniform(0.0, 1.0, dim)).astype(complex)
-        jumps = [(non_normal, 0.7), (hermitian, 0.4)]
-        w = crandn(dim, dim)
-        rho0 = w @ w.conj().T
-        rho0 /= np.trace(rho0)
-
-        def rhs(rho):
-            out = -1j * (h @ rho - rho @ h)
-            for l_mat, rate in jumps:
-                ldl = l_mat.conj().T @ l_mat
-                out += rate * (l_mat @ rho @ l_mat.conj().T - 0.5 * (ldl @ rho + rho @ ldl))
-            return out
-
-        units = np.eye(dim * dim).reshape(dim * dim, dim, dim)
-        generator = np.stack([rhs(e).reshape(-1) for e in units], axis=1)
+        h, jumps, rho0 = _random_model(dim)
         t = 1.3
-        expected = (expm(generator * t) @ rho0.reshape(-1)).reshape(dim, dim)
+        expected = (expm(_generator_by_columns(h, jumps) * t) @ rho0.reshape(-1)).reshape(dim, dim)
 
         out = lindblad_evolve(
             MixedState(rho0, spec),
@@ -175,6 +204,23 @@ class TestPerturbationFirstOrder:
         )
         approx = rho0_of_t(params.T_M) + rho1
         assert np.max(np.abs(evolved.matrix - approx)) < 1e-5
+
+    def test_matches_dense_van_loan_block(self):
+        dim = 6
+        spec = HilbertSpec(dim)
+        h, jumps, rho0 = _random_model(dim)
+        t = 0.4
+        n = dim * dim
+        block = np.zeros((2 * n, 2 * n), dtype=complex)
+        block[:n, :n] = block[n:, n:] = _generator_by_columns(h, [])
+        block[:n, n:] = _generator_by_columns(np.zeros_like(h), jumps)
+        start = np.concatenate([np.zeros(n), rho0.reshape(-1)])
+        expected = (expm(block * t) @ start)[:n].reshape(dim, dim)
+        rho0_of_t = unitary_evolution(MixedState(rho0, spec), LinearOp(h, spec))
+        rho1 = perturbation_first_order(
+            rho0_of_t, LinearOp(h, spec), [(LinearOp(l, spec), rate) for l, rate in jumps], t
+        )
+        assert np.max(np.abs(rho1 - expected)) <= 1e-12
 
     def test_rejects_mismatched_hamiltonian(self):
         params = _scaled_params(0.02)
