@@ -97,6 +97,9 @@ def _number(value, context: str) -> float:
 def _photon_number(value, context: str) -> int:
     if not _is_int(value) or value < 0:
         raise ConfigError(context, "must be a non-negative integer")
+    # |N> needs dim N + 1; closed-form sweeps would otherwise run any N, or overflow.
+    if value >= MAX_DIM:
+        raise ConfigError(context, f"needs a truncation above dim {MAX_DIM}")
     return value
 
 

@@ -97,6 +97,10 @@ REJECTED = BAD_GRIDS + [
                  "config error: grids.alpha: must be a finite number", id="integer-past-float-range"),
     pytest.param({"experiment": "ResolvedSweep", "grids": {"alpha": 1.0e6, "m": 3}},
                  "config error: grids.alpha: needs a truncation above dim", id="alpha-past-ceiling"),
+    pytest.param({"experiment": "DisplacementSweep", "grids": {"N": 3_000_000, "beta": [0.1]}},
+                 "config error: grids.N: needs a truncation above dim", id="photons-past-ceiling"),
+    pytest.param({"experiment": "DisplacementSweep", "grids": {"N": 10**400, "beta": [0.1]}},
+                 "config error: grids.N: needs a truncation above dim", id="photons-past-float-range"),
     pytest.param({"experiment": "ResolvedSweep", "grids": {"alpha": 1.0e200, "m": 3}},
                  "config error: grids.alpha: needs a truncation above dim", id="alpha-square-overflows"),
     pytest.param({"experiment": "PrepareFock", "grids": {"N": 3, "init_alpha": 1.0e6}},

@@ -76,6 +76,25 @@ def _random_model(dim):
     return h, [(non_normal, 0.7), (hermitian, 0.4)], rho0 / np.trace(rho0)
 
 
+def _dense_van_loan(h, jumps, rho0, t):
+    """Oracle: rho1(t) as the top half of expm([[L0, L1], [0, L0]] t) [0; vec rho0]."""
+    dim = h.shape[0]
+    n = dim * dim
+    block = np.zeros((2 * n, 2 * n), dtype=complex)
+    block[:n, :n] = block[n:, n:] = _generator_by_columns(h, [])
+    block[:n, n:] = _generator_by_columns(np.zeros_like(h), jumps)
+    start = np.concatenate([np.zeros(n), rho0.reshape(-1)])
+    return (expm(block * t) @ start)[:n].reshape(dim, dim)
+
+
+def _first_order(h, jumps, rho0, t):
+    """``perturbation_first_order`` on plain arrays."""
+    spec = HilbertSpec(h.shape[0])
+    ham = LinearOp(h, spec)
+    ops = [(LinearOp(l_mat, spec), rate) for l_mat, rate in jumps]
+    return perturbation_first_order(unitary_evolution(MixedState(rho0, spec), ham), ham, ops, t)
+
+
 class TestLiouvillian:
     @pytest.mark.parametrize("case", ["full", "zero-hamiltonian", "zero-rate-jump", "non-normal-only"])
     def test_matches_generator_by_columns(self, case):
@@ -206,21 +225,36 @@ class TestPerturbationFirstOrder:
         assert np.max(np.abs(evolved.matrix - approx)) < 1e-5
 
     def test_matches_dense_van_loan_block(self):
-        dim = 6
-        spec = HilbertSpec(dim)
-        h, jumps, rho0 = _random_model(dim)
+        h, jumps, rho0 = _random_model(6)
+        rho1 = _first_order(h, jumps, rho0, 0.4)
+        assert np.max(np.abs(rho1 - _dense_van_loan(h, jumps, rho0, 0.4))) <= 1e-12
+
+    def test_degenerate_spectrum_matches_dense_van_loan_block(self):
+        # H is diagonal with eigenvalue 0 thirteen-fold (the whole |g> block and |e, 0>).
+        params = _scaled_params(0.1)
+        rho, h, jumps = qubit_cavity_parity_setup(2, 0.2, params, HilbertSpec(12, 0))
+        assert np.count_nonzero(np.diag(h.matrix) == 0) == 13
+        rho1 = perturbation_first_order(unitary_evolution(rho, h), h, jumps, params.T_M)
+        plain = [(op.matrix, rate) for op, rate in jumps]
+        expected = _dense_van_loan(h.matrix, plain, rho.matrix, params.T_M)
+        assert np.max(np.abs(rho1 - expected)) <= 1e-15
+
+    def test_zero_hamiltonian_is_linear_in_t(self):
+        # Every Bohr-frequency difference vanishes, so rho1 = T L1[rho0].
+        _, jumps, rho0 = _random_model(6)
+        h = np.zeros((6, 6))
+        expected = 0.4 * (_generator_by_columns(h, jumps) @ rho0.reshape(-1)).reshape(6, 6)
+        assert np.max(np.abs(_first_order(h, jumps, rho0, 0.4) - expected)) <= 1e-15
+
+    def test_near_degenerate_spectrum_matches_dense_van_loan_block(self):
+        # Eigenvalue gaps of about 1e-9 / T put every x near 0, where
+        # (e^{ix} - 1)/x would cancel.
+        _, jumps, rho0 = _random_model(6)
         t = 0.4
-        n = dim * dim
-        block = np.zeros((2 * n, 2 * n), dtype=complex)
-        block[:n, :n] = block[n:, n:] = _generator_by_columns(h, [])
-        block[:n, n:] = _generator_by_columns(np.zeros_like(h), jumps)
-        start = np.concatenate([np.zeros(n), rho0.reshape(-1)])
-        expected = (expm(block * t) @ start)[:n].reshape(dim, dim)
-        rho0_of_t = unitary_evolution(MixedState(rho0, spec), LinearOp(h, spec))
-        rho1 = perturbation_first_order(
-            rho0_of_t, LinearOp(h, spec), [(LinearOp(l, spec), rate) for l, rate in jumps], t
-        )
-        assert np.max(np.abs(rho1 - expected)) <= 1e-12
+        q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(6, 6)))
+        h = q @ np.diag(np.arange(6) * 1e-9 / t) @ q.T
+        rho1 = _first_order(h, jumps, rho0, t)
+        assert np.max(np.abs(rho1 - _dense_van_loan(h, jumps, rho0, t))) <= 1e-12
 
     def test_rejects_mismatched_hamiltonian(self):
         params = _scaled_params(0.02)
