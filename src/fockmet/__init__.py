@@ -61,7 +61,6 @@ from .fockspace import (
     wigner_value,
 )
 from .metrology import (
-    Generator,
     Parameter,
     PrecisionReport,
     cfi_of_curve,

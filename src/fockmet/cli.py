@@ -82,6 +82,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _integer(value, context: str) -> int:
+    if not _is_int(value):
+        raise ConfigError(context, "must be an integer")
+    return value
+
+
 def _number(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(context, "must be a number")
@@ -175,9 +181,7 @@ def load_config(path: str | Path) -> RunConfig:
     shots = raw.get("shots")
     if shots is not None and (not _is_int(shots) or shots <= 0):
         raise ConfigError("shots", "must be a positive integer or null")
-    seed = raw.get("seed", 0)
-    if not _is_int(seed):
-        raise ConfigError("seed", "must be an integer")
+    seed = _integer(raw.get("seed", 0), "seed")
     grids = raw.get("grids") or {}
     if not isinstance(grids, dict):
         raise ConfigError("grids", "must be a mapping")
@@ -398,7 +402,7 @@ _EXPERIMENT_TABLE = {
     }),
     "ResolvedSweep": (_run_resolved_sweep, {
         "alpha": (_number, _REQUIRED),
-        "m": (_photon_number, _REQUIRED),
+        "m": (_integer, _REQUIRED),  # resolve_photon_cascade bounds the depth
     }),
     "ScalingStudy": (_run_scaling_study, {"N": (_photon_grid, dict(start=1, stop=40, step=1))}),
     "ToyModelStudy": (_run_toy_model_study, {"N": (_photon_grid, dict(start=1, stop=100, step=1))}),

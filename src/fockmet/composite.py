@@ -175,17 +175,14 @@ def ramsey_sandwich_circuit(state: PureState, fspec: FilterSpec) -> FilterOutcom
     return FilterOutcome(branch_g, branch_e, p_g, p_e)
 
 
-def sinusoidal_pnf(state: PureState, fspec: FilterSpec, circuit: bool = False) -> FilterOutcome:
+def sinusoidal_pnf(state: PureState, fspec: FilterSpec) -> FilterOutcome:
     """Sinusoidal (or generalized) photon-number filter on a cavity state.
 
     Ground-branch amplitudes scale as cos(dn*theta/2), or
-    sin((dn*theta - phi)/2) for the generalized form.  ``circuit=True``
-    runs the literal Ramsey sandwich instead of the ideal profile.
+    sin((dn*theta - phi)/2) for the generalized form.
     """
     if fspec.kind not in (FilterKind.SINUSOIDAL, FilterKind.GENERALIZED):
         raise ValueError(f"sinusoidal_pnf got kind {fspec.kind}")
-    if circuit:
-        return ramsey_sandwich_circuit(state, fspec)
     keep, reject = _filter_profiles(state, fspec)
     branch_g, p_g = _branch(state.amplitudes * keep, state.spec)
     branch_e, p_e = _branch(state.amplitudes * reject, state.spec)
@@ -213,10 +210,10 @@ def gaussian_pnf(state: PureState, fspec: FilterSpec) -> FilterOutcome:
     return FilterOutcome(branch_g, branch_e, p_g, p_e)
 
 
-def apply_filter(state: PureState, fspec: FilterSpec, circuit: bool = False) -> FilterOutcome:
+def apply_filter(state: PureState, fspec: FilterSpec) -> FilterOutcome:
     if fspec.kind is FilterKind.GAUSSIAN:
         return gaussian_pnf(state, fspec)
-    return sinusoidal_pnf(state, fspec, circuit=circuit)
+    return sinusoidal_pnf(state, fspec)
 
 
 def default_fock_schedule(target_n: int, sigma: float = 0.9) -> list[FilterSpec]:

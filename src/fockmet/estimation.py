@@ -84,14 +84,12 @@ def fit_phase_curve(phi_grid, pg_samples, N: int) -> FitResult:
     return _curve_fit(phi_grid, pg_samples, N, math.sqrt(N))
 
 
-def fit_multi_gaussian(
-    f_grid, signal, f_centers, sigma_bounds: tuple[float, float] | None = None
-) -> tuple[np.ndarray, FitResult]:
+def fit_multi_gaussian(f_grid, signal, f_centers) -> tuple[np.ndarray, FitResult]:
     """Reconstruct photon populations from a multi-Gaussian spectroscopy signal.
 
     Shared width sigma_f and background B as constrained parameters; the
     per-center amplitudes solve a linear system nested inside a 1-D search
-    over sigma_f within sigma_bounds.  Negative amplitudes are clamped to
+    over sigma_f, bounded by the grid resolution and the center spacing.  Negative amplitudes are clamped to
     zero before normalization.  Returns (populations, fit).
     """
     f_grid = np.asarray(f_grid, dtype=float)
@@ -104,11 +102,8 @@ def fit_multi_gaussian(
         cols.append(np.ones_like(f_grid))
         return np.column_stack(cols)
 
-    if sigma_bounds is None:
-        lo = max(np.ptp(f_grid) / (4.0 * f_grid.size), spacing / 50.0)
-        hi = max(spacing * 2.0, lo * 10.0)
-    else:
-        lo, hi = sigma_bounds
+    lo = max(np.ptp(f_grid) / (4.0 * f_grid.size), spacing / 50.0)
+    hi = max(spacing * 2.0, lo * 10.0)
     sigma_f = float(golden_max(lambda w: -_lstsq(design_for(w), signal)[2], lo, hi, 33, 1e-10 * hi)[1])
     if f_centers.size > 1 and spacing < sigma_f / 10.0:
         raise ValueError(

@@ -43,7 +43,7 @@ class HilbertSpec:
         return self.dim - self.guard
 
 
-def default_spec(n_max: int, extra: int = 0) -> HilbertSpec:
+def default_spec(n_max: int) -> HilbertSpec:
     """Truncation rule covering 6-sigma Poisson tails plus displacement leakage.
 
     ``dim = n_max + ceil(6 sqrt(n_max)) + 20``; the headroom above ``n_max``
@@ -51,7 +51,7 @@ def default_spec(n_max: int, extra: int = 0) -> HilbertSpec:
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    head = math.ceil(6.0 * math.sqrt(max(n_max, 1))) + 20 + extra
+    head = math.ceil(6.0 * math.sqrt(max(n_max, 1))) + 20
     return HilbertSpec(dim=n_max + head, guard=head // 2)
 
 
@@ -125,12 +125,12 @@ class MixedState:
     def populations(self) -> np.ndarray:
         return np.real(np.diag(self.matrix)).copy()
 
-    def check_physical(self, trace_tol: float = TRACE_TOL) -> None:
+    def check_physical(self) -> None:
         """Raise if the state violates hermiticity, trace or positivity bounds."""
         herm = np.max(np.abs(self.matrix - self.matrix.conj().T))
         if herm > HERMITICITY_TOL:
             raise ValueError(f"density matrix not Hermitian: deviation {herm:.2e}")
-        if abs(self.trace - 1.0) > trace_tol:
+        if abs(self.trace - 1.0) > TRACE_TOL:
             raise ValueError(f"trace deviates from 1 by {self.trace - 1.0:.2e}")
         evals = np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2)
         if evals.min() < EIGENVALUE_FLOOR:
@@ -191,6 +191,15 @@ def fock_state(n: int, spec: HilbertSpec) -> PureState:
     return PureState(amp, spec)
 
 
+def _coherent_series(alpha: complex, dim: int) -> np.ndarray:
+    """e^{-|alpha|^2/2} alpha^m / sqrt(m!) for m < dim, i.e. <m|D(alpha)|0>."""
+    amp = np.empty(dim, dtype=complex)
+    amp[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+    for m in range(1, dim):
+        amp[m] = amp[m - 1] * alpha / math.sqrt(m)
+    return amp
+
+
 def coherent_state(alpha: complex, spec: HilbertSpec) -> PureState:
     """Coherent state with mean photon number |alpha|^2, built by recurrence.
 
@@ -202,10 +211,7 @@ def coherent_state(alpha: complex, spec: HilbertSpec) -> PureState:
         raise InteriorAccuracyError(
             f"|alpha|^2 = {nbar:.3g} exceeds interior size {spec.interior}"
         )
-    amp = np.empty(spec.dim, dtype=complex)
-    amp[0] = math.exp(-nbar / 2.0)
-    for n in range(1, spec.dim):
-        amp[n] = amp[n - 1] * alpha / math.sqrt(n)
+    amp = _coherent_series(alpha, spec.dim)
     tail = 1.0 - float(np.sum(np.abs(amp) ** 2))
     if tail > 1e-10:
         raise TruncationError(f"coherent-state tail mass {tail:.2e} beyond dim {spec.dim}")
@@ -213,31 +219,35 @@ def coherent_state(alpha: complex, spec: HilbertSpec) -> PureState:
 
 
 def displacement(beta: complex, spec: HilbertSpec, check_interior: bool = False) -> LinearOp:
-    """Displacement operator from closed-form number-basis matrix elements.
+    """Displacement operator from the Cahill-Glauber closed form.
 
-    The elements <m|D(beta)|n> are generated by the two-term recurrence
-    equivalent to the associated-Laguerre closed form, which is stable at
-    large photon number.  Unitary on the interior block when the guard band
-    absorbs the displacement leakage; with ``check_interior=True`` the
-    interior unitarity defect is measured and an InteriorAccuracyError is
-    raised above 1e-8.
+    Below the diagonal, <n+k|D(beta)|n> = sqrt(n!/(n+k)!) beta^k e^{-|beta|^2/2}
+    L_n^(k)(|beta|^2).  One three-term Laguerre recurrence in n, on the
+    normalised g_n = sqrt(n!/(n+k)!) L_n^(k), runs on every diagonal k at
+    once from the displaced vacuum <k|D|0>; the upper triangle follows from
+    D(beta)^dag = D(-beta).  Its rounding error grows polynomially in n at
+    small |beta| (interior defect ~5e-12 at dim 540).  Unitary on the
+    interior block when the guard band absorbs the displacement leakage;
+    with ``check_interior=True`` the interior unitarity defect is measured
+    and an InteriorAccuracyError is raised above 1e-8.
     """
     beta = complex(beta)
     dim = spec.dim
-    if abs(beta) ** 2 > 0.25 * dim:
-        raise InteriorAccuracyError(
-            f"|beta|^2 = {abs(beta) ** 2:.3g} too large for dim {dim}"
-        )
-    mat = np.zeros((dim, dim), dtype=complex)
-    # first row: <0|D|n> = (-beta*)^n / sqrt(n!) e^{-|beta|^2/2}
-    mat[0, 0] = math.exp(-abs(beta) ** 2 / 2.0)
-    for n in range(1, dim):
-        mat[0, n] = mat[0, n - 1] * (-beta.conjugate()) / math.sqrt(n)
-    # a D = D (a + beta)  =>  sqrt(m) D[m, n] = beta D[m-1, n] + sqrt(n) D[m-1, n-1]
-    sq = np.sqrt(np.arange(dim))
-    for m in range(1, dim):
-        mat[m, 1:] = (beta * mat[m - 1, 1:] + sq[1:] * mat[m - 1, :-1]) / sq[m]
-        mat[m, 0] = beta * mat[m - 1, 0] / sq[m]
+    x = abs(beta) ** 2
+    if x > 0.25 * dim:
+        raise InteriorAccuracyError(f"|beta|^2 = {x:.3g} too large for dim {dim}")
+    k = np.arange(dim)
+    sign = (-1.0) ** k
+    mat = np.empty((dim, dim), dtype=complex)
+    # g and prev hold <n+k|D|n> and <n-1+k|D|n-1> for k < dim - n.
+    g, prev = _coherent_series(beta, dim), np.zeros(dim, dtype=complex)
+    for n in range(dim):
+        mat[n:, n] = g
+        mat[n, n:] = sign[: dim - n] * g.conj()  # <n|D|n+k> = (-1)^k conj(<n+k|D|n>)
+        kk = k[: dim - n - 1]
+        g, prev = (
+            (2 * n + 1 + kk - x) * g[:-1] - np.sqrt(n * (n + kk)) * prev[:-1]
+        ) / np.sqrt((n + 1) * (n + 1 + kk)), g[:-1]
     op = LinearOp(mat, spec)
     if check_interior and spec.guard > 0:
         defect = op.interior_unitarity_defect()

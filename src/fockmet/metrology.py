@@ -44,29 +44,15 @@ def parity_shape(N: int, beta: float | np.ndarray):
     return cur * env, env * (-prev1 * 8.0 * beta - 4.0 * beta * cur)
 
 
-class GeneratorKind(enum.Enum):
-    DISPLACEMENT_AMPLITUDE = "displacement_amplitude"
-    PHASE_ROTATION = "phase_rotation"
-
-
-@dataclass(frozen=True)
-class Generator:
-    """Hermitian interrogation generator: i(a^dag - a) or a^dag a."""
-
-    kind: GeneratorKind
-    operator: LinearOp
-
-
-def displacement_generator(spec: HilbertSpec) -> Generator:
+def displacement_generator(spec: HilbertSpec) -> LinearOp:
+    """Hermitian generator i(a^dag - a) of real displacements."""
     lower, upper = ladder_ops(spec)
-    return Generator(
-        GeneratorKind.DISPLACEMENT_AMPLITUDE,
-        LinearOp(1j * (upper.matrix - lower.matrix), spec),
-    )
+    return LinearOp(1j * (upper.matrix - lower.matrix), spec)
 
 
-def phase_generator(spec: HilbertSpec) -> Generator:
-    return Generator(GeneratorKind.PHASE_ROTATION, number_op(spec))
+def phase_generator(spec: HilbertSpec) -> LinearOp:
+    """Hermitian generator a^dag a of phase rotations."""
+    return number_op(spec)
 
 
 def parity_curve_ideal(N: int, beta: float | np.ndarray):
@@ -108,9 +94,9 @@ def cfi_of_curve(
     return slope * slope / (p * (1.0 - p))
 
 
-def qfi_pure(generator: Generator, state: PureState) -> float:
-    """4 (<h^2> - <h>^2) for a pure probe state."""
-    h_psi = generator.operator.matrix @ state.amplitudes
+def qfi_pure(generator: LinearOp, state: PureState) -> float:
+    """4 (<h^2> - <h>^2) for a pure probe state and a Hermitian generator h."""
+    h_psi = generator.apply(state)
     mean = np.real(np.vdot(state.amplitudes, h_psi))
     second = np.real(np.vdot(h_psi, h_psi))
     return float(4.0 * (second - mean * mean))
@@ -205,11 +191,9 @@ def maximize_fisher(
     lo: float,
     hi: float,
     dP: Callable[[float], float] | None = None,
-    grid_points: int = 401,
-    tol: float = 1e-4,
 ) -> tuple[float, float]:
     """(F_max, argmax) of the binary-outcome Fisher information of P on [lo, hi]."""
-    return golden_max(lambda lam: cfi_of_curve(P, lam, dP), lo, hi, grid_points, tol)
+    return golden_max(lambda lam: cfi_of_curve(P, lam, dP), lo, hi, 401, 1e-4)
 
 
 def precision_report(

@@ -84,6 +84,12 @@ REJECTED = BAD_GRIDS + [
                  "config error: grids.schedule[0]: theta must be in", id="schedule-theta-range"),
     pytest.param({"experiment": "ResolvedSweep", "grids": {"alpha": 1.0, "m": 0}},
                  "m must be in [1, 6]", id="cascade-depth"),
+    pytest.param({"experiment": "ResolvedSweep", "grids": {"alpha": 1.0, "m": 7}},
+                 "m must be in [1, 6]", id="cascade-depth-above-range"),
+    pytest.param({"experiment": "ResolvedSweep", "grids": {"alpha": 1.0, "m": 5000}},
+                 "m must be in [1, 6]", id="cascade-depth-past-ceiling"),
+    pytest.param({"experiment": "ResolvedSweep", "grids": {"alpha": 1.0, "m": True}},
+                 "config error: grids.m: must be an integer", id="boolean-cascade-depth"),
     pytest.param(dict(DISPLACEMENT, device={"T_M": "1e-6"}), "config error: device.T_M", id="string-device"),
     pytest.param(dict(DISPLACEMENT, device={"kappa1": True}), "config error: device.kappa1",
                  id="boolean-device"),

@@ -93,7 +93,7 @@ class TestSinusoidalFilter:
         st = coherent_state(math.sqrt(6), spec)
         fspec = generalized_filter(6, math.pi / 2, 0.7)
         ideal = sinusoidal_pnf(st, fspec)
-        circ = sinusoidal_pnf(st, fspec, circuit=True)
+        circ = ramsey_sandwich_circuit(st, fspec)
         assert circ.p_g == pytest.approx(ideal.p_g, abs=1e-12)
         assert np.max(
             np.abs(np.abs(circ.branch_g.amplitudes) - np.abs(ideal.branch_g.amplitudes))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy.special import factorial
+from scipy.special import eval_genlaguerre, eval_laguerre, factorial, gammaln
 from scipy.stats import poisson
 
 from fockmet import (
@@ -22,9 +22,17 @@ from fockmet import (
     number_op,
     parity_expectation,
     parity_op,
+    phase_generator,
+    qfi_pure,
     wigner_value,
 )
 from fockmet.fockspace import displaced_state
+
+
+def _column_defect(mat: np.ndarray, cols: int) -> float:
+    """max |(U^dag U - I)[i, j]| over the first ``cols`` columns."""
+    block = mat[:, :cols].conj().T @ mat[:, :cols]
+    return float(np.max(np.abs(block - np.eye(cols))))
 
 
 class TestHilbertSpec:
@@ -166,6 +174,42 @@ class TestDisplacement:
         with pytest.raises(InteriorAccuracyError):
             displacement(5.0, HilbertSpec(32))
 
+    def test_low_columns_unitary_at_large_amplitude(self):
+        # The first 60 columns of D(5) stay far from the edge of dim 244.
+        assert _column_defect(displacement(5.0, HilbertSpec(244)).matrix, 60) <= 1e-12
+
+    def test_elements_match_laguerre_closed_form_at_n_400(self):
+        spec = default_spec(400)
+        beta = np.exp(0.7j)  # |beta| = 1
+        x = abs(beta) ** 2
+        mat = displacement(beta, spec).matrix
+        worst = 0.0
+        for n in range(360, 441):
+            k = np.arange(60)
+            # <n+k|D|n> = sqrt(n!/(n+k)!) beta^k e^{-x/2} L_n^(k)(x)
+            ref = np.exp(0.5 * (gammaln(n + 1) - gammaln(n + k + 1)) - x / 2) * beta**k
+            ref = ref * eval_genlaguerre(n, k, x)
+            worst = max(worst, np.max(np.abs(mat[n + k, n] - ref)))
+            worst = max(worst, np.max(np.abs(mat[n, n + k] - (-1.0) ** k * np.conj(ref))))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("beta", [1e-3, 0.05, 0.3, 1.0])
+    def test_interior_unitary_at_n_400(self, beta):
+        assert displacement(beta, default_spec(400)).interior_unitarity_defect() <= 1e-11
+
+    def test_finite_and_unitary_at_amplitude_limit(self):
+        beta = 15.0 + 5.0j  # |beta|^2 = 250 = dim / 4, the largest allowed
+        mat = displacement(beta, HilbertSpec(1000)).matrix
+        assert np.all(np.isfinite(mat))
+        assert _column_defect(mat, 60) <= 1e-12
+
+    @pytest.mark.parametrize("N", [50, 100])
+    def test_displaced_fock_phase_qfi(self, N):
+        # Var(n) of D(sqrt N)|N> is N (2N + 1).
+        spec = HilbertSpec(6 * N, 100)
+        probe = displaced_state(math.sqrt(N), fock_state(N, spec))
+        assert qfi_pure(phase_generator(spec), probe) == pytest.approx(4 * N * (2 * N + 1), rel=1e-9)
+
 
 class TestWigner:
     def test_vacuum_gaussian(self):
@@ -179,3 +223,9 @@ class TestWigner:
         spec = default_spec(7)
         rho = fock_state(7, spec).to_mixed()
         assert wigner_value(rho, 0.0) == pytest.approx(-2.0 / math.pi, abs=1e-10)
+
+    def test_fock_400_matches_cahill_glauber(self):
+        # W(alpha) = (2/pi) (-1)^N exp(-2|alpha|^2) L_N(4|alpha|^2)
+        rho = fock_state(400, default_spec(400)).to_mixed()
+        expected = (2.0 / math.pi) * math.exp(-2.0) * eval_laguerre(400, 4.0)
+        assert abs(wigner_value(rho, 1.0) - expected) <= 1e-12
