@@ -271,7 +271,8 @@ def parity_expectation(state: MixedState) -> float:
 
 def wigner_value(state: MixedState, alpha: complex) -> float:
     """W(alpha) = (2/pi) Tr[D(-alpha) rho D(alpha) Pi]."""
-    d = displacement(alpha, state.spec)
-    shifted = d.matrix.conj().T @ state.matrix @ d.matrix
+    d = displacement(alpha, state.spec).matrix
+    # diag(D^dag rho D) column by column, from the one product rho D.
+    diagonal = np.sum(d.conj() * (state.matrix @ d), axis=0)
     signs = (-1.0) ** np.arange(state.spec.dim)
-    return float((2.0 / math.pi) * np.real(np.sum(signs * np.diag(shifted))))
+    return float((2.0 / math.pi) * np.real(np.sum(signs * diagonal)))

@@ -151,12 +151,18 @@ class TestLindbladEvolve:
         expected = rho.matrix[0, 1] * math.exp(-0.2)
         assert out.matrix[0, 1] == pytest.approx(expected, rel=1e-6)
 
-    def test_matches_dense_liouvillian_expm(self):
+    @staticmethod
+    def _against_dense_expm(h_scale):
+        """Max deviation of lindblad_evolve from dense expm on the random model,
+        and the 1-norm of the shifted generator that sets the substep count."""
         dim = 6
         spec = HilbertSpec(dim)
         h, jumps, rho0 = _random_model(dim)
+        h = h_scale * h
         t = 1.3
-        expected = (expm(_generator_by_columns(h, jumps) * t) @ rho0.reshape(-1)).reshape(dim, dim)
+        generator = _generator_by_columns(h, jumps) * t
+        expected = (expm(generator) @ rho0.reshape(-1)).reshape(dim, dim)
+        shifted = generator - np.trace(generator) / dim**2 * np.eye(dim**2)
 
         out = lindblad_evolve(
             MixedState(rho0, spec),
@@ -167,7 +173,42 @@ class TestLindbladEvolve:
                 dt=t,
             ),
         )
-        assert np.max(np.abs(out.matrix - expected)) <= 1e-12
+        return np.max(np.abs(out.matrix - expected)), np.abs(shifted).sum(axis=0).max()
+
+    def test_matches_dense_liouvillian_expm(self):
+        assert self._against_dense_expm(1.0)[0] <= 1e-12
+
+    def test_matches_dense_expm_over_several_substeps(self):
+        error, one_norm = self._against_dense_expm(40.0)
+        # 13 substeps of at most 9.9 each, past the norm where scipy's
+        # expm_multiply switches to estimated powers of the generator.
+        assert one_norm > 63
+        assert error <= 1e-12
+
+    def test_zero_generator_returns_the_state(self):
+        dim = 5
+        spec = HilbertSpec(dim)
+        _, jumps, rho0 = _random_model(dim)
+        out = lindblad_evolve(
+            MixedState(rho0, spec),
+            LindbladSpec(
+                LinearOp(np.zeros((dim, dim)), spec),
+                [(LinearOp(l_mat, spec), 0.0) for l_mat, _ in jumps],
+                duration=2.0,
+                dt=2.0,
+            ),
+        )
+        assert np.max(np.abs(out.matrix - rho0)) <= 1e-15
+
+    def test_leaves_global_rng_untouched(self):
+        params = DeviceParams()
+        rho, h, jumps = qubit_cavity_parity_setup(4, 0.1, params, HilbertSpec(24, 0))
+        spec = LindbladSpec(h, jumps, duration=params.T_M, dt=params.T_M)
+        np.random.seed(11)
+        before = np.random.get_state()
+        lindblad_evolve(rho, spec)
+        after = np.random.get_state()
+        assert np.array_equal(before[1], after[1]) and before[2:] == after[2:]
 
     def test_rejects_unphysical_result(self):
         spec = HilbertSpec(2)
