@@ -13,18 +13,16 @@ from .composite import (
     FilterOutcome,
     FilterSpec,
     PnrTrace,
-    conditional_phase_op,
+    apply_filter,
     default_fock_schedule,
     binary_fock_schedule,
     gaussian_filter,
-    gaussian_pnf,
     gaussian_sigma_from_pulse,
     generalized_filter,
     prepare_fock,
     ramsey_trace,
     resolve_photon_cascade,
     sinusoidal_filter,
-    sinusoidal_pnf,
     spectroscopy_signal,
 )
 from .errors import (

@@ -46,12 +46,11 @@ from .metrology import (
     parity_curve_ideal,
     parity_shape,
     phase_curve_ideal,
+    weighted_fisher,
 )
 from .noise import toy_model
 
 OUTDIR_ENV = "FOCKMET_OUTDIR"
-
-DEVICE_FIELDS = {f.name for f in dataclasses.fields(DeviceParams)}
 
 _REQUIRED = object()  # default of a field the config must give
 
@@ -69,12 +68,6 @@ class RunConfig:
     shots: int | None = None
     seed: int = 0
     output_path: str = "out"
-
-
-def _require_keys(mapping: dict, allowed, context: str) -> None:
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigError(f"{context}.{key}", "unknown field")
 
 
 def _is_int(value) -> bool:
@@ -109,20 +102,30 @@ def _photon_number(value, context: str) -> int:
     return value
 
 
-def _parse_fields(raw, fields: dict, context: str) -> dict:
+def _string(value, context: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(context, "must be a string")
+    return value
+
+
+def _parse_fields(raw, fields: dict, context: str = "") -> dict:
     """Check a mapping against ``fields`` (name -> (parser, default)) and parse it.
 
-    A field left out or given as null takes its default.
+    A field left out or given as null takes its default.  Errors name a field
+    as ``context.name``, or as ``name`` at the config root (no context).
     """
     if not isinstance(raw, dict):
-        raise ConfigError(context, "expected a mapping")
-    _require_keys(raw, fields, context)
+        raise ConfigError(context or "<root>", "expected a mapping")
+    where = (lambda name: f"{context}.{name}") if context else str
+    for key in raw:
+        if key not in fields:
+            raise ConfigError(where(key), "unknown field")
     typed = {}
     for name, (parse, default) in fields.items():
         value = default if raw.get(name) is None else raw[name]
         if value is _REQUIRED:
-            raise ConfigError(f"{context}.{name}", "missing")
-        typed[name] = None if value is None else parse(value, f"{context}.{name}")
+            raise ConfigError(where(name), "missing")
+        typed[name] = None if value is None else parse(value, where(name))
     return typed
 
 
@@ -159,40 +162,49 @@ def _photon_grid(entry, context: str) -> np.ndarray:
     return _grid(entry, context, _photon_number)
 
 
+def _mapping(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(context, "must be a mapping")
+    return dict(value)
+
+
+def _shots(value, context: str) -> int:
+    if not _is_int(value) or value <= 0:
+        raise ConfigError(context, "must be a positive integer or null")
+    return value
+
+
+def _experiment(value, context: str) -> str:
+    if not isinstance(value, str) or value not in _EXPERIMENT_TABLE:
+        raise ConfigError(context, f"must be one of {', '.join(_EXPERIMENT_TABLE)}")
+    return value
+
+
+# Every DeviceParams constant is a number; a field left out keeps its default.
+_DEVICE_FIELDS = {f.name: (_number, f.default) for f in dataclasses.fields(DeviceParams)}
+
+
+def _device(value, context: str) -> DeviceParams:
+    try:
+        return DeviceParams(**_parse_fields(value, _DEVICE_FIELDS, context))
+    except ValueError as exc:
+        raise ConfigError(context, str(exc)) from exc
+
+
+# The config root, parsed like any other mapping; ``_compute`` parses the grids.
+_CONFIG_FIELDS = {
+    "experiment": (_experiment, _REQUIRED),
+    "grids": (_mapping, {}),
+    "device": (_device, {}),
+    "shots": (_shots, None),
+    "seed": (_integer, 0),
+    "output_path": (_string, "out"),
+}
+
+
 def load_config(path: str | Path) -> RunConfig:
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
-    if not isinstance(raw, dict):
-        raise ConfigError("<root>", "config must be a mapping")
-    _require_keys(raw, {"experiment", "grids", "device", "shots", "seed", "output_path"}, "config")
-    experiment = raw.get("experiment")
-    if experiment not in _EXPERIMENT_TABLE:
-        raise ConfigError("experiment", f"must be one of {', '.join(_EXPERIMENT_TABLE)}")
-    device_raw = raw.get("device") or {}
-    if not isinstance(device_raw, dict):
-        raise ConfigError("device", "must be a mapping")
-    _require_keys(device_raw, DEVICE_FIELDS, "device")
-    for key, value in device_raw.items():
-        _number(value, f"device.{key}")
-    try:
-        device = DeviceParams(**device_raw)
-    except ValueError as exc:
-        raise ConfigError("device", str(exc)) from exc
-    shots = raw.get("shots")
-    if shots is not None and (not _is_int(shots) or shots <= 0):
-        raise ConfigError("shots", "must be a positive integer or null")
-    seed = _integer(raw.get("seed", 0), "seed")
-    grids = raw.get("grids") or {}
-    if not isinstance(grids, dict):
-        raise ConfigError("grids", "must be a mapping")
-    return RunConfig(
-        experiment=experiment,
-        grids=grids,
-        device=device,
-        shots=shots,
-        seed=seed,
-        output_path=str(raw.get("output_path", "out")),
-    )
+        return RunConfig(**_parse_fields(yaml.safe_load(fh), _CONFIG_FIELDS))
 
 
 def _fmt(value) -> str:
@@ -249,7 +261,7 @@ def _parse_schedule(raw, context: str) -> list[FilterSpec]:
         if not isinstance(entry, dict):
             raise ConfigError(ctx, "expected a mapping")
         kind = entry.get("kind")
-        if kind not in _FILTERS:
+        if not isinstance(kind, str) or kind not in _FILTERS:
             raise ConfigError(f"{ctx}.kind", f"must be one of {', '.join(_FILTERS)}")
         make, fields = _FILTERS[kind]
         args = _parse_fields({k: v for k, v in entry.items() if k != "kind"}, fields, ctx)
@@ -330,7 +342,7 @@ def _run_resolved_sweep(config: RunConfig, alpha, m):
     ]
     pops = state.populations()
     nbar = state.mean_photon_number()
-    weighted = float(sum(p * 4.0 * (2 * k + 1) for k, p in enumerate(pops)))
+    weighted = float(weighted_fisher(list(enumerate(pops)), lambda k: 4.0 * (2 * k + 1)))
     columns = ["resolved_n (photons)", "bits (b_m..b_1)", "probability", "fisher_small_beta (1/beta^2)"]
     extra = [
         f"mean photon number = {_fmt(nbar)}",

@@ -1,9 +1,12 @@
 """Qubit-cavity dispersive model: photon-number filters and derived signals.
 
 The qubit lives on index 0 (ground) / 1 (excited) of a 2-dimensional factor,
-composite states are ordered qubit (x) cavity.  Filters come in two flavours:
-the ideal amplitude profile (fast path, per-component phases set to zero) and
-the literal Ramsey-sandwich circuit used for cross-validation.
+composite states are ordered qubit (x) cavity.  Every photon-number filter
+step goes through ``apply_filter``: the sinusoidal and generalized filters,
+``resolve_photon_cascade`` and ``ramsey_trace`` all take their amplitude
+profile from one Ramsey kernel, cos/sin((dn*theta - phi)/2), with the
+per-component phases of the circuit set to zero.  The literal Ramsey-sandwich
+circuit that cross-checks this profile lives in the tests.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FilterStarvationError
-from .fockspace import HilbertSpec, LinearOp, PureState, coherent_state
+from .fockspace import HilbertSpec, PureState, coherent_state
 
 TWO_PI = 2.0 * math.pi
 
@@ -115,105 +118,30 @@ def _branch(amplitudes: np.ndarray, spec: HilbertSpec) -> tuple[PureState | None
     return PureState(amplitudes / math.sqrt(p), spec), p
 
 
-def _filter_profiles(state: PureState, fspec: FilterSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(keep, reject) amplitude multipliers over the number basis."""
-    dn = np.arange(state.spec.dim) - fspec.target_n
-    if fspec.kind is FilterKind.SINUSOIDAL:
-        keep = np.cos(dn * fspec.theta / 2.0)
-        reject = np.sin(dn * fspec.theta / 2.0)
-    elif fspec.kind is FilterKind.GENERALIZED:
-        keep = np.sin((dn * fspec.theta - fspec.phi) / 2.0)
-        reject = np.cos((dn * fspec.theta - fspec.phi) / 2.0)
-    else:
-        raise ValueError(f"not a sinusoidal-family filter: {fspec.kind}")
-    return keep, reject
-
-
-def conditional_phase_op(theta: float, target_n: int, spec: HilbertSpec) -> LinearOp:
-    """C_theta = |g><g| (x) I + |e><e| (x) exp(i theta (n - target_n)) on qubit (x) cavity."""
-    dim = spec.dim
-    phases = np.exp(1j * theta * (np.arange(dim) - target_n))
-    mat = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    mat[:dim, :dim] = np.eye(dim)
-    mat[dim:, dim:] = np.diag(phases)
-    return LinearOp(mat, HilbertSpec(2 * dim, spec.guard))
-
-
-def _qubit_rotation(angle: float, axis_phi: float, dim: int) -> np.ndarray:
-    """Rotation by ``angle`` about the equatorial axis at ``axis_phi``, on qubit (x) cavity."""
-    c = math.cos(angle / 2.0)
-    s = math.sin(angle / 2.0)
-    # in {|g>, |e>} basis
-    r = np.array([
-        [c, -1j * s * np.exp(-1j * axis_phi)],
-        [-1j * s * np.exp(1j * axis_phi), c],
-    ])
-    return np.kron(r, np.eye(dim))
-
-
-def ramsey_sandwich_circuit(state: PureState, fspec: FilterSpec) -> FilterOutcome:
-    """Literal X/2 -> C_theta -> second pi/2 circuit with qubit projection.
-
-    The second rotation is -X/2 for the sinusoidal filter; for the
-    generalized filter its axis is offset so the ground branch matches the
-    sin((dn*theta - phi)/2) amplitude profile up to per-component phases.
-    """
-    dim = state.spec.dim
-    psi = np.zeros(2 * dim, dtype=complex)
-    psi[:dim] = state.amplitudes  # qubit in |g>
-    psi = _qubit_rotation(math.pi / 2.0, 0.0, dim) @ psi
-    psi = conditional_phase_op(fspec.theta, fspec.target_n, state.spec).matrix @ psi
-    if fspec.kind is FilterKind.SINUSOIDAL:
-        axis = 0.0
-    else:
-        # axis offset mapping the ground branch onto the sin profile
-        axis = fspec.phi + math.pi
-    psi = _qubit_rotation(-math.pi / 2.0, axis, dim) @ psi
-    g_amp, e_amp = psi[:dim], psi[dim:]
-    branch_g, p_g = _branch(g_amp, state.spec)
-    branch_e, p_e = _branch(e_amp, state.spec)
-    return FilterOutcome(branch_g, branch_e, p_g, p_e)
-
-
-def sinusoidal_pnf(state: PureState, fspec: FilterSpec) -> FilterOutcome:
-    """Sinusoidal (or generalized) photon-number filter on a cavity state.
-
-    Ground-branch amplitudes scale as cos(dn*theta/2), or
-    sin((dn*theta - phi)/2) for the generalized form.
-    """
-    if fspec.kind not in (FilterKind.SINUSOIDAL, FilterKind.GENERALIZED):
-        raise ValueError(f"sinusoidal_pnf got kind {fspec.kind}")
-    keep, reject = _filter_profiles(state, fspec)
-    branch_g, p_g = _branch(state.amplitudes * keep, state.spec)
-    branch_e, p_e = _branch(state.amplitudes * reject, state.spec)
-    return FilterOutcome(branch_g, branch_e, p_g, p_e)
-
-
-def gaussian_pnf(state: PureState, fspec: FilterSpec) -> FilterOutcome:
-    """Gaussian photon-number filter: amplitudes scaled by exp(-dn^2/4 sigma^2).
-
-    Raises FilterStarvationError when the kept probability drops below 1e-12.
-    """
-    if fspec.kind is not FilterKind.GAUSSIAN:
-        raise ValueError(f"gaussian_pnf got kind {fspec.kind}")
-    dn = np.arange(state.spec.dim) - fspec.target_n
-    keep = np.exp(-dn.astype(float) ** 2 / (4.0 * fspec.sigma**2))
-    g_amp = state.amplitudes * keep
-    p_g = float(np.sum(np.abs(g_amp) ** 2))
-    if p_g < STARVATION_THRESHOLD:
-        raise FilterStarvationError(
-            f"Gaussian filter sigma={fspec.sigma} kept probability {p_g:.2e}"
-        )
-    reject = np.sqrt(np.clip(1.0 - keep**2, 0.0, 1.0))
-    branch_g, p_g = _branch(g_amp, state.spec)
-    branch_e, p_e = _branch(state.amplitudes * reject, state.spec)
-    return FilterOutcome(branch_g, branch_e, p_g, p_e)
+def _ramsey(dn, theta: float, phi: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(cos, sin) of the Ramsey half-angle (dn*theta - phi)/2 behind every filter profile."""
+    arg = (dn * theta - phi) / 2.0
+    return np.cos(arg), np.sin(arg)
 
 
 def apply_filter(state: PureState, fspec: FilterSpec) -> FilterOutcome:
-    if fspec.kind is FilterKind.GAUSSIAN:
-        return gaussian_pnf(state, fspec)
-    return sinusoidal_pnf(state, fspec)
+    """One photon-number filter step: the ground branch keeps cos(dn*theta/2)
+    (sinusoidal), sin((dn*theta - phi)/2) (generalized) or exp(-dn^2/4 sigma^2)
+    (Gaussian); the excited branch the complement.  A Gaussian filter that keeps
+    less than 1e-12 of the probability raises FilterStarvationError."""
+    dn = np.arange(state.spec.dim) - fspec.target_n
+    if fspec.kind is FilterKind.SINUSOIDAL:
+        keep, reject = _ramsey(dn, fspec.theta)
+    elif fspec.kind is FilterKind.GENERALIZED:
+        reject, keep = _ramsey(dn, fspec.theta, fspec.phi)
+    else:
+        keep = np.exp(-dn.astype(float) ** 2 / (4.0 * fspec.sigma**2))
+        reject = np.sqrt(np.clip(1.0 - keep**2, 0.0, 1.0))
+    branch_g, p_g = _branch(state.amplitudes * keep, state.spec)
+    if fspec.kind is FilterKind.GAUSSIAN and p_g < STARVATION_THRESHOLD:
+        raise FilterStarvationError(f"Gaussian filter sigma={fspec.sigma} kept probability {p_g:.2e}")
+    branch_e, p_e = _branch(state.amplitudes * reject, state.spec)
+    return FilterOutcome(branch_g, branch_e, p_g, p_e)
 
 
 def default_fock_schedule(target_n: int, sigma: float = 0.9) -> list[FilterSpec]:
@@ -263,8 +191,7 @@ def prepare_fock(
 def ramsey_trace(cavity_n: int, target_n: int, theta_grid: np.ndarray) -> np.ndarray:
     """Ground-state probability of the Ramsey sandwich on Fock |n>:
     p_g(theta) = cos^2((n - target_n) theta / 2)."""
-    theta_grid = np.asarray(theta_grid, dtype=float)
-    return np.cos((cavity_n - target_n) * theta_grid / 2.0) ** 2
+    return _ramsey(cavity_n - target_n, np.asarray(theta_grid, dtype=float))[0] ** 2
 
 
 def photon_detuning_hz(n: np.ndarray | int, params: DeviceParams) -> np.ndarray | float:
@@ -329,23 +256,19 @@ def resolve_photon_cascade(state: PureState, m: int, target_n: int = 0) -> list[
     if not 1 <= m <= 6:
         raise ValueError(f"m must be in [1, 6], got {m}")
     dn = np.arange(state.spec.dim) - target_n
-    traces: list[PnrTrace] = []
-    # (bits, unnormalized amplitudes, probability)
-    frontier: list[tuple[tuple[int, ...], np.ndarray]] = [((), state.amplitudes.copy())]
+    # (bits, resolved_n so far, unnormalized amplitudes)
+    frontier: list[tuple[tuple[int, ...], int, np.ndarray]] = [((), 0, state.amplitudes)]
     for j in range(1, m + 1):
         theta = math.pi / 2 ** (j - 1)
         nxt = []
-        for bits, amps in frontier:
+        for bits, resolved, amps in frontier:
             # feedback phase cancels the Ramsey phase of the already-read bits
-            resolved = sum(b << (l - 1) for l, b in enumerate(bits, start=1))
-            phi = theta * resolved
-            arg = (dn * theta - phi) / 2.0
-            nxt.append((bits + (0,), amps * np.cos(arg)))
-            nxt.append((bits + (1,), amps * np.sin(arg)))
+            cos, sin = _ramsey(dn, theta, theta * resolved)
+            nxt.append((bits + (0,), resolved, amps * cos))
+            nxt.append((bits + (1,), resolved + (1 << (j - 1)), amps * sin))
         frontier = nxt
-    for bits, amps in frontier:
-        p = float(np.sum(np.abs(amps) ** 2))
-        post = PureState(amps / math.sqrt(p), state.spec) if p > BRANCH_EPS else None
-        resolved = sum(b << (j - 1) for j, b in enumerate(bits, start=1))
+    traces = []
+    for bits, resolved, amps in frontier:
+        post, p = _branch(amps, state.spec)
         traces.append(PnrTrace(bits=bits, resolved_n=resolved, probability=p, post_state=post))
     return traces

@@ -29,7 +29,6 @@ class FitResult:
     covariance: np.ndarray
     residual_norm: float
     converged: bool
-    iterations: int
     degenerate: bool = False
 
 
@@ -54,7 +53,6 @@ def _linear_fit(design: np.ndarray, y: np.ndarray, names: list[str]) -> FitResul
         covariance=cov,
         residual_norm=residual_norm,
         converged=converged,
-        iterations=1,
     )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .composite import DeviceParams
 from .errors import ModelBreakdownError
 from .fockspace import HilbertSpec, LinearOp, MixedState
-from .metrology import parity_curve_ideal, parity_shape, sql_baselines
+from .metrology import gain_db_from_precision, parity_curve_ideal, parity_shape, sql_baselines
 
 
 @dataclass(frozen=True)
@@ -269,8 +269,7 @@ def toy_model(N: int, params: DeviceParams) -> ToyModelResult:
         raise ModelBreakdownError(f"lambda2 = {lambda2:.3g} >= 1 at N = {N}")
     fisher = (1.0 - lambda2) ** 2 * 8.0 * N
     precision = 1.0 / math.sqrt(fisher)
-    sql_beta, _ = sql_baselines(max(N, 1))
-    gain_db = 20.0 * math.log10(sql_beta / precision)
+    gain_db = gain_db_from_precision(sql_baselines(N)[0], precision)
     return ToyModelResult(lambda1, lambda2, fisher, precision, gain_db)
 
 

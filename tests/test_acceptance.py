@@ -25,7 +25,6 @@ from fockmet import (
     displacement_generator,
     fock_state,
     gaussian_filter,
-    gaussian_pnf,
     gaussian_sigma_from_pulse,
     lindblad_evolve,
     parity_curve_ideal,
@@ -119,7 +118,7 @@ def test_criterion_05_gaussian_filter_width():
     sigma = gaussian_sigma_from_pulse(800e-9, params.chi_qc)
     assert abs(sigma - 0.90) < 0.01
     spec = default_spec(50)
-    out = gaussian_pnf(coherent_state(math.sqrt(50), spec), gaussian_filter(50, sigma))
+    out = apply_filter(coherent_state(math.sqrt(50), spec), gaussian_filter(50, sigma))
     std = out.branch_g.photon_number_std()
     assert 0.8 <= std <= 1.0
     print(f"ACCEPTANCE 05 PASS: sigma(800 ns) = {sigma:.4f}, post-filter std = {std:.4f}")

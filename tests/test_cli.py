@@ -11,7 +11,7 @@ import pytest
 import yaml
 from scipy.special import eval_laguerre
 
-from fockmet import ConfigError, HilbertSpec, __version__, default_spec, fock_state, wigner_value
+from fockmet import ConfigError, DeviceParams, HilbertSpec, __version__, default_spec, fock_state, wigner_value
 from fockmet.cli import MAX_DIM, OUTDIR_ENV, RunConfig, _truncation, load_config, main, run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -113,6 +113,14 @@ REJECTED = BAD_GRIDS + [
                  "config error: grids.init_alpha: needs a truncation above dim", id="init-alpha-past-ceiling"),
     pytest.param({"experiment": "PrepareFock", "grids": {"N": 10**400}},
                  "config error: grids.N: needs a truncation above dim", id="fock-n-past-ceiling"),
+    pytest.param(dict(DISPLACEMENT, output_path=["a", "b"]), "config error: output_path: must be a string",
+                 id="list-output-path"),
+    pytest.param(dict(DISPLACEMENT, output_path=5), "config error: output_path: must be a string",
+                 id="number-output-path"),
+    pytest.param(dict(DISPLACEMENT, experiment=["DisplacementSweep"]), "config error: experiment: must be one of",
+                 id="list-experiment"),
+    pytest.param({"experiment": "PrepareFock", "grids": {"N": 3, "schedule": [{"kind": ["gaussian"]}]}},
+                 "config error: grids.schedule[0].kind: must be one of", id="list-filter-kind"),
 ]
 
 
@@ -149,6 +157,12 @@ class TestLoadConfig:
         bad = dict(DISPLACEMENT, seed="abc")
         with pytest.raises(ConfigError):
             load_config(_write_config(tmp_path / "c.yaml", bad))
+
+    def test_null_fields_take_defaults(self, tmp_path):
+        payload = dict(DISPLACEMENT, seed=None, output_path=None, device={"T_M": None})
+        cfg = load_config(_write_config(tmp_path / "c.yaml", payload))
+        assert cfg.seed == 0 and cfg.output_path == "out"
+        assert cfg.device == DeviceParams()
 
     def test_device_override(self, tmp_path):
         cfg = load_config(
@@ -342,6 +356,14 @@ class TestMain:
         err = capsys.readouterr().err.strip()
         assert str(out) in err and len(err.splitlines()) == 1
         assert "cannot read config" not in err
+
+    def test_null_output_path_writes_to_out(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(OUTDIR_ENV, raising=False)
+        path = _write_config(tmp_path / "c.yaml", dict(DISPLACEMENT, output_path=None))
+        assert main(["run", path]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["c.yaml", "out"]
+        assert (tmp_path / "out" / "displacementsweep_results.csv").exists()
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.yaml")]) == 2

@@ -9,26 +9,78 @@ from scipy.stats import poisson
 from fockmet import (
     DeviceParams,
     FilterKind,
+    FilterOutcome,
     FilterSpec,
     FilterStarvationError,
     HilbertSpec,
+    LinearOp,
+    PureState,
+    apply_filter,
     binary_fock_schedule,
     coherent_state,
     default_fock_schedule,
     default_spec,
     fock_state,
     gaussian_filter,
-    gaussian_pnf,
     gaussian_sigma_from_pulse,
     generalized_filter,
     prepare_fock,
     ramsey_trace,
     resolve_photon_cascade,
     sinusoidal_filter,
-    sinusoidal_pnf,
     spectroscopy_signal,
 )
-from fockmet.composite import apply_filter, photon_detuning_hz, ramsey_sandwich_circuit
+from fockmet.composite import _branch, photon_detuning_hz
+
+
+# Reference implementation: the literal qubit (x) cavity circuit that the
+# amplitude profiles of apply_filter must reproduce.
+
+
+def conditional_phase_op(theta: float, target_n: int, spec: HilbertSpec) -> LinearOp:
+    """C_theta = |g><g| (x) I + |e><e| (x) exp(i theta (n - target_n)) on qubit (x) cavity."""
+    dim = spec.dim
+    phases = np.exp(1j * theta * (np.arange(dim) - target_n))
+    mat = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    mat[:dim, :dim] = np.eye(dim)
+    mat[dim:, dim:] = np.diag(phases)
+    return LinearOp(mat, HilbertSpec(2 * dim, spec.guard))
+
+
+def _qubit_rotation(angle: float, axis_phi: float, dim: int) -> np.ndarray:
+    """Rotation by ``angle`` about the equatorial axis at ``axis_phi``, on qubit (x) cavity."""
+    c = math.cos(angle / 2.0)
+    s = math.sin(angle / 2.0)
+    # in {|g>, |e>} basis
+    r = np.array([
+        [c, -1j * s * np.exp(-1j * axis_phi)],
+        [-1j * s * np.exp(1j * axis_phi), c],
+    ])
+    return np.kron(r, np.eye(dim))
+
+
+def ramsey_sandwich_circuit(state: PureState, fspec: FilterSpec) -> FilterOutcome:
+    """Literal X/2 -> C_theta -> second pi/2 circuit with qubit projection.
+
+    The second rotation is -X/2 for the sinusoidal filter; for the
+    generalized filter its axis is offset so the ground branch matches the
+    sin((dn*theta - phi)/2) amplitude profile up to per-component phases.
+    """
+    dim = state.spec.dim
+    psi = np.zeros(2 * dim, dtype=complex)
+    psi[:dim] = state.amplitudes  # qubit in |g>
+    psi = _qubit_rotation(math.pi / 2.0, 0.0, dim) @ psi
+    psi = conditional_phase_op(fspec.theta, fspec.target_n, state.spec).matrix @ psi
+    if fspec.kind is FilterKind.SINUSOIDAL:
+        axis = 0.0
+    else:
+        # axis offset mapping the ground branch onto the sin profile
+        axis = fspec.phi + math.pi
+    psi = _qubit_rotation(-math.pi / 2.0, axis, dim) @ psi
+    g_amp, e_amp = psi[:dim], psi[dim:]
+    branch_g, p_g = _branch(g_amp, state.spec)
+    branch_e, p_e = _branch(e_amp, state.spec)
+    return FilterOutcome(branch_g, branch_e, p_g, p_e)
 
 
 class TestDeviceParams:
@@ -67,21 +119,25 @@ class TestSinusoidalFilter:
     def test_branch_probabilities_sum_to_one(self):
         spec = default_spec(10)
         st = coherent_state(math.sqrt(10), spec)
-        out = sinusoidal_pnf(st, sinusoidal_filter(10, math.pi / 2))
+        out = apply_filter(st, sinusoidal_filter(10, math.pi / 2))
         assert out.p_g + out.p_e == pytest.approx(1.0, abs=1e-12)
 
     def test_fock_input_weights(self):
         spec = HilbertSpec(16)
         theta = math.pi / 3
         for n in (0, 3, 7):
-            out = sinusoidal_pnf(fock_state(n, spec), sinusoidal_filter(2, theta))
+            out = apply_filter(fock_state(n, spec), sinusoidal_filter(2, theta))
             assert out.p_g == pytest.approx(math.cos((n - 2) * theta / 2) ** 2, abs=1e-12)
+            # generalized: the ground branch keeps the sin half of the profile
+            out = apply_filter(fock_state(n, spec), generalized_filter(2, theta, 0.7))
+            assert out.p_g == pytest.approx(math.sin(((n - 2) * theta - 0.7) / 2) ** 2, abs=1e-12)
+            assert out.p_e == pytest.approx(math.cos(((n - 2) * theta - 0.7) / 2) ** 2, abs=1e-12)
 
     def test_circuit_matches_amplitude_profile(self):
         spec = default_spec(10)
         st = coherent_state(math.sqrt(10), spec)
         fspec = sinusoidal_filter(10, math.pi / 2)
-        ideal = sinusoidal_pnf(st, fspec)
+        ideal = apply_filter(st, fspec)
         circ = ramsey_sandwich_circuit(st, fspec)
         assert circ.p_g == pytest.approx(ideal.p_g, abs=1e-12)
         assert np.max(
@@ -92,7 +148,7 @@ class TestSinusoidalFilter:
         spec = default_spec(6)
         st = coherent_state(math.sqrt(6), spec)
         fspec = generalized_filter(6, math.pi / 2, 0.7)
-        ideal = sinusoidal_pnf(st, fspec)
+        ideal = apply_filter(st, fspec)
         circ = ramsey_sandwich_circuit(st, fspec)
         assert circ.p_g == pytest.approx(ideal.p_g, abs=1e-12)
         assert np.max(
@@ -102,38 +158,28 @@ class TestSinusoidalFilter:
     def test_pi_filter_projects_parity(self):
         spec = default_spec(4)
         st = coherent_state(2.0, spec)
-        out = sinusoidal_pnf(st, sinusoidal_filter(4, math.pi))
+        out = apply_filter(st, sinusoidal_filter(4, math.pi))
         pops = out.branch_g.populations()
         # target 4 is even: all odd components must vanish
         assert np.max(pops[1::2]) < 1e-24
-
-    def test_rejects_gaussian_kind(self):
-        spec = HilbertSpec(8)
-        with pytest.raises(ValueError):
-            sinusoidal_pnf(fock_state(0, spec), gaussian_filter(0, 1.0))
 
 
 class TestGaussianFilter:
     def test_narrows_photon_distribution(self):
         spec = default_spec(50)
         st = coherent_state(math.sqrt(50), spec)
-        out = gaussian_pnf(st, gaussian_filter(50, 0.9))
+        out = apply_filter(st, gaussian_filter(50, 0.9))
         assert out.branch_g.photon_number_std() < st.photon_number_std()
 
     def test_starvation_raises(self):
         spec = default_spec(2)
         with pytest.raises(FilterStarvationError):
-            gaussian_pnf(fock_state(0, spec), gaussian_filter(30, 0.5))
+            apply_filter(fock_state(0, spec), gaussian_filter(30, 0.5))
 
     def test_sigma_from_pulse(self):
         p = DeviceParams()
         sigma = gaussian_sigma_from_pulse(800e-9, p.chi_qc)
         assert sigma == pytest.approx(2 * math.sqrt(2) / (p.chi_qc * 800e-9))
-
-    def test_rejects_sinusoidal_kind(self):
-        spec = HilbertSpec(8)
-        with pytest.raises(ValueError):
-            gaussian_pnf(fock_state(0, spec), sinusoidal_filter(0, math.pi))
 
 
 class TestPrepareFock:

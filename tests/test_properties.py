@@ -10,6 +10,7 @@ from scipy.special import eval_laguerre
 
 from fockmet import (
     HilbertSpec,
+    apply_filter,
     coherent_state,
     default_spec,
     displacement,
@@ -17,7 +18,6 @@ from fockmet import (
     parity_curve_ideal,
     resolve_photon_cascade,
     sinusoidal_filter,
-    sinusoidal_pnf,
 )
 from fockmet.estimation import fit_scaling_exponent
 from fockmet.metrology import parity_shape
@@ -62,7 +62,7 @@ def test_displacement_dagger_is_inverse_displacement(re, im):
 )
 def test_sinusoidal_filter_conserves_probability(n, theta, target):
     spec = HilbertSpec(20)
-    out = sinusoidal_pnf(fock_state(n, spec), sinusoidal_filter(target, theta))
+    out = apply_filter(fock_state(n, spec), sinusoidal_filter(target, theta))
     assert out.p_g + out.p_e == pytest.approx(1.0, abs=1e-12)
 
 
