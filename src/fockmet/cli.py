@@ -33,6 +33,7 @@ from .composite import (
     generalized_filter,
     ramsey_trace,
     resolve_photon_cascade,
+    sample_shots,
     sinusoidal_filter,
     prepare_fock,
 )
@@ -42,6 +43,7 @@ from .fockspace import HilbertSpec, coherent_state, default_spec
 from .fockspace import wigner_value  # noqa: F401  bench/test_bench.py reads cli.wigner_value
 from .metrology import (
     cfi_of_curve,
+    fock_fisher,
     parity_curve_deriv,
     parity_curve_ideal,
     parity_shape,
@@ -237,13 +239,6 @@ def _provenance(config: RunConfig, dims: list[int], extra: list[str] | None = No
     return lines
 
 
-def _sample(probabilities: np.ndarray, config: RunConfig, rng: np.random.Generator) -> np.ndarray:
-    """Binomial shot noise drawn from the run's generator; exact when shots is null."""
-    if config.shots is None:
-        return probabilities
-    return rng.binomial(config.shots, np.clip(probabilities, 0.0, 1.0)) / config.shots
-
-
 # Filter kind -> (constructor, fields after the target photon number).
 _FILTERS = {
     "sinusoidal": (sinusoidal_filter, {"theta": (_number, _REQUIRED)}),
@@ -273,7 +268,11 @@ def _parse_schedule(raw, context: str) -> list[FilterSpec]:
 
 
 def _run_displacement_sweep(config: RunConfig, N, beta):
-    pg = _sample(parity_curve_ideal(N, beta), config, np.random.default_rng(config.seed))
+    pg = sample_shots(parity_curve_ideal(N, beta), config.shots, np.random.default_rng(config.seed))
+    # This sweep's and the phase sweep's Fisher columns stay per-point scalar
+    # calls: np.exp on an array differs from math.exp by an ulp on a few inputs
+    # (which the phase sweep's central difference amplifies by 1/(2h)), and the
+    # written digits would change.
     fisher = [
         cfi_of_curve(lambda x: parity_curve_ideal(N, x), float(b),
                      lambda x: parity_curve_deriv(N, x))
@@ -286,8 +285,9 @@ def _run_displacement_sweep(config: RunConfig, N, beta):
 
 def _run_phase_sweep(config: RunConfig, N, phi):
     gamma = math.sqrt(N) if N > 0 else 1.0
-    pg = _sample(phase_curve_ideal(N, gamma, phi), config, np.random.default_rng(config.seed))
-    fisher = [
+    rng = np.random.default_rng(config.seed)
+    pg = sample_shots(phase_curve_ideal(N, gamma, phi), config.shots, rng)
+    fisher = [  # per point, as in _run_displacement_sweep
         cfi_of_curve(lambda x: phase_curve_ideal(N, gamma, x), float(p))
         for p in phi
     ]
@@ -300,7 +300,7 @@ def _run_ramsey_scan(config: RunConfig, n_values, theta, target_n):
     rng = np.random.default_rng(config.seed)
     rows, extra = [], []
     for n in n_values:
-        trace = _sample(ramsey_trace(n, target_n, theta), config, rng)
+        trace = sample_shots(ramsey_trace(n, target_n, theta), config.shots, rng)
         for t, p in zip(theta, trace):
             rows.append((n, t, p))
         try:
@@ -337,12 +337,12 @@ def _run_resolved_sweep(config: RunConfig, alpha, m):
     traces = resolve_photon_cascade(state, m)
     rows = [
         (t.resolved_n, "".join(str(b) for b in reversed(t.bits)), _fmt(t.probability),
-         _fmt(4.0 * (2 * t.resolved_n + 1)))
+         _fmt(fock_fisher(t.resolved_n)))
         for t in sorted(traces, key=lambda t: t.resolved_n)
     ]
     pops = state.populations()
     nbar = state.mean_photon_number()
-    weighted = float(weighted_fisher(list(enumerate(pops)), lambda k: 4.0 * (2 * k + 1)))
+    weighted = float(weighted_fisher(list(enumerate(pops)), fock_fisher))
     columns = ["resolved_n (photons)", "bits (b_m..b_1)", "probability", "fisher_small_beta (1/beta^2)"]
     extra = [
         f"mean photon number = {_fmt(nbar)}",
@@ -352,7 +352,7 @@ def _run_resolved_sweep(config: RunConfig, alpha, m):
 
 
 def _run_scaling_study(config: RunConfig, N):
-    fisher = 4.0 * (2.0 * N + 1.0)
+    fisher = fock_fisher(N)
     precisions = 1.0 / np.sqrt(fisher)
     exponent, intercept = fit_scaling_exponent(N, precisions)
     rows = list(zip(N, fisher, precisions))
@@ -432,17 +432,6 @@ def _compute(config: RunConfig):
     return runner(config, **_parse_fields(config.grids, fields, "grids"))
 
 
-def resolved_config_dict(config: RunConfig) -> dict:
-    return {
-        "experiment": config.experiment,
-        "seed": config.seed,
-        "shots": config.shots,
-        "output_path": config.output_path,
-        "device": dataclasses.asdict(config.device),
-        "grids": config.grids,
-    }
-
-
 def run(config: RunConfig, out_dir: str | Path | None = None, threads: int = 1) -> list[Path]:
     """Execute one experiment; returns the written file paths.
 
@@ -460,7 +449,7 @@ def run(config: RunConfig, out_dir: str | Path | None = None, threads: int = 1) 
     try:
         target.mkdir(parents=True, exist_ok=True)
         with open(echo_path, "w") as fh:
-            yaml.safe_dump(resolved_config_dict(config), fh, sort_keys=True)
+            yaml.safe_dump(dataclasses.asdict(config), fh, sort_keys=True)
         _write_csv(csv_path, _provenance(config, dims, extra), columns, rows)
     except OSError as exc:
         raise ValueError(f"cannot write output {exc.filename}: {exc.strerror}") from exc

@@ -229,10 +229,14 @@ def spectroscopy_signal(
     signal = np.zeros_like(f_grid)
     for pop, fn in zip(populations, centers):
         signal += pop * np.exp(-((f_grid - fn) ** 2) / (2.0 * sigma_f**2))
-    if shots is not None:
-        rng = np.random.default_rng(seed)
-        signal = rng.binomial(shots, np.clip(signal, 0.0, 1.0)) / shots
-    return signal
+    return sample_shots(signal, shots, np.random.default_rng(seed))
+
+
+def sample_shots(p, shots: int | None, rng: np.random.Generator):
+    """Binomial shot means of the probabilities ``p``; ``p`` itself when shots is None."""
+    if shots is None:
+        return p
+    return rng.binomial(shots, np.clip(p, 0.0, 1.0)) / shots
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .composite import sample_shots
 from .metrology import Parameter, golden_max, maximize_fisher, parity_shape
 
 DEGENERATE_AMPLITUDE = 1e-8
@@ -102,7 +103,8 @@ def fit_multi_gaussian(f_grid, signal, f_centers) -> tuple[np.ndarray, FitResult
 
     lo = max(np.ptp(f_grid) / (4.0 * f_grid.size), spacing / 50.0)
     hi = max(spacing * 2.0, lo * 10.0)
-    sigma_f = float(golden_max(lambda w: -_lstsq(design_for(w), signal)[2], lo, hi, 33, 1e-10 * hi)[1])
+    residual = np.vectorize(lambda w: -_lstsq(design_for(w), signal)[2], otypes=[float])
+    sigma_f = float(golden_max(residual, lo, hi, 33, 1e-10 * hi)[1])
     if f_centers.size > 1 and spacing < sigma_f / 10.0:
         raise ValueError(
             f"centers closer than sigma_f/10 ({spacing:.3g} < {sigma_f / 10.0:.3g}): singular design"
@@ -141,10 +143,8 @@ def fit_ramsey_frequency(theta_grid, pg_trace) -> float:
     def design_for(freq: float) -> np.ndarray:
         return np.column_stack([np.ones_like(theta), np.cos(freq * theta), np.sin(freq * theta)])
 
-    return float(golden_max(
-        lambda f: -_lstsq(design_for(f), trace)[2],
-        freq0 - bin_width, freq0 + bin_width, 21, 1e-13 * freq0,
-    )[1])
+    residual = np.vectorize(lambda f: -_lstsq(design_for(f), trace)[2], otypes=[float])
+    return float(golden_max(residual, freq0 - bin_width, freq0 + bin_width, 21, 1e-13 * freq0)[1])
 
 
 @dataclass(frozen=True)
@@ -171,13 +171,11 @@ def _fisher_precision_from_fit(record: ShotRecord, pg: np.ndarray) -> float:
         scale = math.sqrt(record.N)
     a, b = fit.parameters["A"], fit.parameters["B"]
 
-    def p_of(lam: float) -> float:
+    def p_of(lam):
         p = a * parity_shape(record.N, scale * lam)[0] + b
-        if p < SATURATION_MARGIN or p > 1.0 - SATURATION_MARGIN:
-            return 0.0
-        return p
+        return np.where((p < SATURATION_MARGIN) | (p > 1.0 - SATURATION_MARGIN), 0.0, p)
 
-    def dp_of(lam: float) -> float:
+    def dp_of(lam):
         return a * scale * parity_shape(record.N, scale * lam)[1]
 
     lo, hi = float(record.grid.min()), float(record.grid.max())
@@ -203,11 +201,7 @@ def bootstrap_precision(
     values = []
     failures = 0
     for stream in streams:
-        rng = np.random.default_rng(stream)
-        if record.shots is None:
-            pg = record.pg
-        else:
-            pg = rng.binomial(record.shots, np.clip(record.pg, 0.0, 1.0)) / record.shots
+        pg = sample_shots(record.pg, record.shots, np.random.default_rng(stream))
         try:
             values.append(_fisher_precision_from_fit(record, pg))
         except (ValueError, np.linalg.LinAlgError):

@@ -23,6 +23,9 @@ from .fockspace import HilbertSpec, LinearOp, PureState, ladder_ops, number_op
 CLAMP_EPS = 1e-12
 CENTRAL_DIFF_H = 1e-6
 
+# A curve of one real parameter, elementwise on a float or an array.
+Curve = Callable[[float | np.ndarray], float | np.ndarray]
+
 
 def parity_shape(N: int, beta: float | np.ndarray):
     """(exp(-2 beta^2) L_N(4 beta^2), its d/dbeta), elementwise on a float or array.
@@ -74,24 +77,27 @@ def phase_curve_ideal(N: int, gamma: float, phi: float | np.ndarray):
     return parity_curve_ideal(N, abs(phi * gamma))
 
 
-def cfi_of_curve(
-    P: Callable[[float], float],
-    lam: float,
-    dP: Callable[[float], float] | None = None,
-) -> float:
+def cfi_of_curve(P: Curve, lam: float | np.ndarray, dP: Curve | None = None):
     """Binary-outcome classical Fisher information (dP/dlam)^2 / (P (1-P)).
 
+    Elementwise on a float or an array; ``P`` and ``dP`` must accept both.
     The derivative is central-difference with h = 1e-6 when not supplied.
     Returns 0 at degenerate points where P is clamped to (eps, 1-eps).
     """
     p = P(lam)
-    if p <= CLAMP_EPS or p >= 1.0 - CLAMP_EPS:
-        return 0.0
     if dP is None:
         slope = (P(lam + CENTRAL_DIFF_H) - P(lam - CENTRAL_DIFF_H)) / (2.0 * CENTRAL_DIFF_H)
     else:
         slope = dP(lam)
-    return slope * slope / (p * (1.0 - p))
+    inside = (p > CLAMP_EPS) & (p < 1.0 - CLAMP_EPS)
+    # The masked denominator keeps clamped points free of division warnings.
+    fisher = np.where(inside, slope * slope / np.where(inside, p * (1.0 - p), 1.0), 0.0)
+    return fisher if np.ndim(lam) else float(fisher)
+
+
+def fock_fisher(n):
+    """Displacement Fisher information 4(2n+1) of |n>, elementwise on an int or array."""
+    return 4.0 * (2.0 * n + 1.0)
 
 
 def qfi_pure(generator: LinearOp, state: PureState) -> float:
@@ -152,15 +158,14 @@ class PrecisionReport:
     argmax_location: float
 
 
-def golden_max(
-    f: Callable[[float], float], lo: float, hi: float, grid_points: int, tol: float
-) -> tuple[float, float]:
+def golden_max(f: Curve, lo: float, hi: float, grid_points: int, tol: float) -> tuple[float, float]:
     """(max f, argmax) on [lo, hi]: the package's one 1-D search.
 
-    A dense grid, then golden-section refinement around its best point.
+    A dense grid, evaluated in one array call ``f(grid)``, then
+    golden-section refinement around its best point with single floats.
     """
     grid = np.linspace(lo, hi, grid_points)
-    values = np.array([f(float(x)) for x in grid])
+    values = f(grid)
     k = int(np.argmax(values))
     a = grid[max(k - 1, 0)]
     b = grid[min(k + 1, grid_points - 1)]
@@ -186,23 +191,21 @@ def golden_max(
     return f_star, x_star
 
 
-def maximize_fisher(
-    P: Callable[[float], float],
-    lo: float,
-    hi: float,
-    dP: Callable[[float], float] | None = None,
-) -> tuple[float, float]:
-    """(F_max, argmax) of the binary-outcome Fisher information of P on [lo, hi]."""
+def maximize_fisher(P: Curve, lo: float, hi: float, dP: Curve | None = None) -> tuple[float, float]:
+    """(F_max, argmax) of the binary-outcome Fisher information of P on [lo, hi].
+
+    ``P`` and ``dP`` must accept arrays as well as floats.
+    """
     return golden_max(lambda lam: cfi_of_curve(P, lam, dP), lo, hi, 401, 1e-4)
 
 
 def precision_report(
     parameter: Parameter,
-    P: Callable[[float], float],
+    P: Curve,
     lo: float,
     hi: float,
     sql_precision: float,
-    dP: Callable[[float], float] | None = None,
+    dP: Curve | None = None,
 ) -> PrecisionReport:
     fisher_max, argmax = maximize_fisher(P, lo, hi, dP)
     precision = 1.0 / math.sqrt(fisher_max)

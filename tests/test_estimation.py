@@ -135,6 +135,19 @@ class TestBootstrap:
         assert std == 0.0
         assert mean == pytest.approx(1.0 / 6.0, rel=0.01)
 
+    def test_pinned_values(self):
+        # Computed with the per-point Fisher search that preceded the array one.
+        beta = bootstrap_precision(self._record(20000), resamples=200, seed=5)
+        assert beta == pytest.approx((0.15334687670242744, 0.0209328099180988), rel=1e-12)
+        n = 10
+        phi = np.linspace(0.0, 0.2, 41)
+        rec = ShotRecord(
+            grid=phi, pg=phase_curve_ideal(n, math.sqrt(n), phi), shots=1000,
+            model=Parameter.PHI, N=n,
+        )
+        got = bootstrap_precision(rec, resamples=300, seed=1)
+        assert got == pytest.approx((0.027875683731520943, 0.008616618341414696), rel=1e-12)
+
     def test_minimum_resamples_enforced(self):
         with pytest.raises(ValueError):
             bootstrap_precision(self._record(1000), resamples=100)

@@ -23,8 +23,10 @@ from fockmet import (
     weighted_fisher,
 )
 from fockmet.metrology import (
+    fock_fisher,
     gain_db_from_fisher,
     gain_db_from_precision,
+    golden_max,
     maximize_fisher,
     parity_curve_deriv,
     parity_shape,
@@ -129,6 +131,26 @@ class TestFisher:
         spec = default_spec(5)
         assert qfi_pure(phase_generator(spec), fock_state(5, spec)) == pytest.approx(0.0, abs=1e-9)
 
+    def test_fock_fisher_is_fock_qfi(self):
+        spec = default_spec(12)
+        qfi = [qfi_pure(displacement_generator(spec), fock_state(n, spec)) for n in range(13)]
+        np.testing.assert_allclose(fock_fisher(np.arange(13)), qfi, rtol=1e-12)
+        assert fock_fisher(3) == 4 * 7
+
+    @pytest.mark.parametrize("n", [10, 100, 400])
+    @pytest.mark.parametrize("analytic, rtol", [(True, 1e-12), (False, 1e-9)])
+    def test_cfi_on_array_matches_per_point(self, n, analytic, rtol):
+        beta = np.linspace(0.0, 2.0, 401)
+        P = lambda x: parity_curve_ideal(n, x)  # noqa: E731
+        dP = (lambda x: parity_curve_deriv(n, x)) if analytic else None
+        on_array = cfi_of_curve(P, beta, dP)
+        per_point = np.array([cfi_of_curve(P, float(b), dP) for b in beta])
+        clamped = per_point == 0.0
+        assert clamped[0]  # P = 1 at beta = 0 for even N
+        np.testing.assert_array_equal(on_array[clamped], 0.0)
+        np.testing.assert_allclose(on_array[~clamped], per_point[~clamped], rtol=rtol, atol=0)
+        assert type(cfi_of_curve(P, 0.3, dP)) is float
+
     def test_weighted_fisher_identity(self):
         pops = [(0, 0.2), (1, 0.3), (2, 0.5)]
         nbar = sum(n * p for n, p in pops)
@@ -162,6 +184,21 @@ class TestBaselinesAndGain:
 
 
 class TestMaximization:
+    def test_golden_max_evaluates_its_grid_in_one_call(self):
+        calls = []
+
+        def f(x):
+            calls.append(np.array(x, copy=True))
+            return -((x - 0.3) ** 2)
+
+        f_max, arg = golden_max(f, 0.0, 1.0, 401, 1e-9)
+        grids = [x for x in calls if x.ndim]
+        assert len(grids) == 1
+        np.testing.assert_array_equal(grids[0], np.linspace(0.0, 1.0, 401))
+        assert calls[0].ndim == 1  # the grid comes first, then single floats
+        assert f_max == pytest.approx(0.0, abs=1e-15)
+        assert arg == pytest.approx(0.3, abs=1e-8)
+
     def test_finds_small_beta_plateau(self):
         n = 1
         f, arg = maximize_fisher(
