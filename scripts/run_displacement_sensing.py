@@ -11,7 +11,7 @@ import argparse
 import numpy as np
 
 from fockmet import Parameter, ShotRecord, bootstrap_precision, parity_curve_ideal
-from fockmet.metrology import gain_db_from_precision
+from fockmet.metrology import gain_db_from_precision, sql_baselines
 
 
 def main() -> None:
@@ -30,7 +30,7 @@ def main() -> None:
             grid=grid, pg=parity_curve_ideal(n, grid), shots=args.shots, model=Parameter.BETA, N=n
         )
         mean, std = bootstrap_precision(record, resamples=args.resamples, seed=args.seed)
-        gain = gain_db_from_precision(0.5, mean)
+        gain = gain_db_from_precision(sql_baselines(n)[0], mean)
         print(f"{n:>4} {mean:>12.5f} {std:>10.5f} {gain:>9.2f}")
 
 

@@ -8,11 +8,11 @@ ideal -1/2 scaling.
 """
 
 import argparse
-import math
 
 import numpy as np
 
 from fockmet import DeviceParams, fit_scaling_exponent, toy_model
+from fockmet.metrology import fock_fisher
 
 
 def main() -> None:
@@ -22,7 +22,7 @@ def main() -> None:
     args = parser.parse_args()
 
     ns = np.arange(args.n_min, args.n_max + 1, dtype=float)
-    ideal = np.array([1.0 / math.sqrt(4.0 * (2.0 * n + 1.0)) for n in ns])
+    ideal = 1.0 / np.sqrt(fock_fisher(ns))
     exp_ideal, _ = fit_scaling_exponent(ns, ideal)
 
     params = DeviceParams()

@@ -236,6 +236,8 @@ def sample_shots(p, shots: int | None, rng: np.random.Generator):
     """Binomial shot means of the probabilities ``p``; ``p`` itself when shots is None."""
     if shots is None:
         return p
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
+        raise ValueError(f"shots must be None or a positive integer, got {shots!r}")
     return rng.binomial(shots, np.clip(p, 0.0, 1.0)) / shots
 
 

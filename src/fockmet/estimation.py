@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .composite import sample_shots
-from .metrology import Parameter, golden_max, maximize_fisher, parity_shape
+from .metrology import Parameter, binary_fisher, golden_max, maximize_fisher, parity_shape
 
 DEGENERATE_AMPLITUDE = 1e-8
 # Fitted probability models can slightly overshoot [0, 1]; near the
@@ -104,7 +104,7 @@ def fit_multi_gaussian(f_grid, signal, f_centers) -> tuple[np.ndarray, FitResult
     lo = max(np.ptp(f_grid) / (4.0 * f_grid.size), spacing / 50.0)
     hi = max(spacing * 2.0, lo * 10.0)
     residual = np.vectorize(lambda w: -_lstsq(design_for(w), signal)[2], otypes=[float])
-    sigma_f = float(golden_max(residual, lo, hi, 33, 1e-10 * hi)[1])
+    sigma_f = golden_max(residual, lo, hi, 33, 1e-10 * hi)[1]
     if f_centers.size > 1 and spacing < sigma_f / 10.0:
         raise ValueError(
             f"centers closer than sigma_f/10 ({spacing:.3g} < {sigma_f / 10.0:.3g}): singular design"
@@ -144,7 +144,7 @@ def fit_ramsey_frequency(theta_grid, pg_trace) -> float:
         return np.column_stack([np.ones_like(theta), np.cos(freq * theta), np.sin(freq * theta)])
 
     residual = np.vectorize(lambda f: -_lstsq(design_for(f), trace)[2], otypes=[float])
-    return float(golden_max(residual, freq0 - bin_width, freq0 + bin_width, 21, 1e-13 * freq0)[1])
+    return golden_max(residual, freq0 - bin_width, freq0 + bin_width, 21, 1e-13 * freq0)[1]
 
 
 @dataclass(frozen=True)
@@ -161,6 +161,18 @@ class ShotRecord:
     model: Parameter
     N: int
 
+    def __post_init__(self):
+        grid = np.asarray(self.grid, dtype=float)
+        pg = np.asarray(self.pg, dtype=float)
+        if grid.ndim != 1 or pg.shape != grid.shape:
+            raise ValueError(f"grid and pg must be 1-D of one length, got {grid.shape} and {pg.shape}")
+        if self.N < 0:
+            raise ValueError("N must be non-negative")
+        if self.N == 0 and self.model is Parameter.PHI:
+            raise ValueError("the phase model needs N >= 1: it scales beta by sqrt(N)")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "pg", pg)
+
 
 def _fisher_precision_from_fit(record: ShotRecord, pg: np.ndarray) -> float:
     if record.model is Parameter.BETA:
@@ -171,20 +183,16 @@ def _fisher_precision_from_fit(record: ShotRecord, pg: np.ndarray) -> float:
         scale = math.sqrt(record.N)
     a, b = fit.parameters["A"], fit.parameters["B"]
 
-    def p_of(lam):
-        p = a * parity_shape(record.N, scale * lam)[0] + b
-        return np.where((p < SATURATION_MARGIN) | (p > 1.0 - SATURATION_MARGIN), 0.0, p)
-
-    def dp_of(lam):
-        return a * scale * parity_shape(record.N, scale * lam)[1]
+    def fisher_of(lam):
+        shape, dshape = parity_shape(record.N, scale * lam)
+        p = a * shape + b
+        p = np.where((p < SATURATION_MARGIN) | (p > 1.0 - SATURATION_MARGIN), 0.0, p)
+        return binary_fisher(p, a * scale * dshape)
 
     lo, hi = float(record.grid.min()), float(record.grid.max())
     if lo <= 0.0:
         lo = (hi - lo) * 1e-4
-    fisher_max, _ = maximize_fisher(p_of, lo, hi, dp_of)
-    if fisher_max <= 0:
-        raise ValueError("fitted model carries no Fisher information")
-    return 1.0 / math.sqrt(fisher_max)
+    return 1.0 / math.sqrt(maximize_fisher(fisher_of, lo, hi)[0])
 
 
 def bootstrap_precision(

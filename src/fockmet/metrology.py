@@ -77,22 +77,25 @@ def phase_curve_ideal(N: int, gamma: float, phi: float | np.ndarray):
     return parity_curve_ideal(N, abs(phi * gamma))
 
 
-def cfi_of_curve(P: Curve, lam: float | np.ndarray, dP: Curve | None = None):
-    """Binary-outcome classical Fisher information (dP/dlam)^2 / (P (1-P)).
+def binary_fisher(p, slope):
+    """Binary-outcome Fisher information slope^2 / (p (1-p)), elementwise; a float for a float.
 
-    Elementwise on a float or an array; ``P`` and ``dP`` must accept both.
-    The derivative is central-difference with h = 1e-6 when not supplied.
-    Returns 0 at degenerate points where P is clamped to (eps, 1-eps).
-    """
-    p = P(lam)
+    Returns 0 at degenerate points where p is clamped to (eps, 1-eps)."""
+    inside = (p > CLAMP_EPS) & (p < 1.0 - CLAMP_EPS)
+    # The masked denominator keeps clamped points free of division warnings.
+    fisher = np.where(inside, slope * slope / np.where(inside, p * (1.0 - p), 1.0), 0.0)
+    return fisher if np.ndim(fisher) else float(fisher)
+
+
+def cfi_of_curve(P: Curve, lam: float | np.ndarray, dP: Curve | None = None):
+    """``binary_fisher`` of the curve P at lam; ``P`` and ``dP`` must accept floats and arrays.
+
+    The derivative is central-difference with h = 1e-6 when not supplied."""
     if dP is None:
         slope = (P(lam + CENTRAL_DIFF_H) - P(lam - CENTRAL_DIFF_H)) / (2.0 * CENTRAL_DIFF_H)
     else:
         slope = dP(lam)
-    inside = (p > CLAMP_EPS) & (p < 1.0 - CLAMP_EPS)
-    # The masked denominator keeps clamped points free of division warnings.
-    fisher = np.where(inside, slope * slope / np.where(inside, p * (1.0 - p), 1.0), 0.0)
-    return fisher if np.ndim(lam) else float(fisher)
+    return binary_fisher(P(lam), slope)
 
 
 def fock_fisher(n):
@@ -188,15 +191,15 @@ def golden_max(f: Curve, lo: float, hi: float, grid_points: int, tol: float) -> 
     # The refinement assumes local unimodality; never do worse than the grid.
     if f_star < values[k]:
         return float(values[k]), float(grid[k])
-    return f_star, x_star
+    return float(f_star), float(x_star)
 
 
-def maximize_fisher(P: Curve, lo: float, hi: float, dP: Curve | None = None) -> tuple[float, float]:
-    """(F_max, argmax) of the binary-outcome Fisher information of P on [lo, hi].
-
-    ``P`` and ``dP`` must accept arrays as well as floats.
-    """
-    return golden_max(lambda lam: cfi_of_curve(P, lam, dP), lo, hi, 401, 1e-4)
+def maximize_fisher(fisher: Curve, lo: float, hi: float) -> tuple[float, float]:
+    """(F_max, argmax) of a Fisher curve that accepts floats and arrays; ValueError if F_max <= 0."""
+    fisher_max, argmax = golden_max(fisher, lo, hi, 401, 1e-4)
+    if fisher_max <= 0:
+        raise ValueError("the curve carries no Fisher information on [lo, hi]")
+    return fisher_max, argmax
 
 
 def precision_report(
@@ -207,7 +210,7 @@ def precision_report(
     sql_precision: float,
     dP: Curve | None = None,
 ) -> PrecisionReport:
-    fisher_max, argmax = maximize_fisher(P, lo, hi, dP)
+    fisher_max, argmax = maximize_fisher(lambda lam: cfi_of_curve(P, lam, dP), lo, hi)
     precision = 1.0 / math.sqrt(fisher_max)
     return PrecisionReport(
         parameter=parameter,

@@ -17,7 +17,7 @@ import numpy as np
 from .composite import DeviceParams
 from .errors import ModelBreakdownError
 from .fockspace import HilbertSpec, LinearOp, MixedState
-from .metrology import gain_db_from_precision, parity_curve_ideal, parity_shape, sql_baselines
+from .metrology import gain_db_from_precision, parity_shape, sql_baselines
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ def parity_prob_noisy(N: int, beta: float, params: DeviceParams) -> float:
         - k1 * t * (N + 1) / 4.0 * s_np1
         - k1 * t * N / 4.0 * s_nm1
     )
-    return parity_curve_ideal(N, beta) + p_g1
+    return 0.5 + 0.5 * sign * s_n + p_g1
 
 
 def displacement_dephasing_bias(N: int, beta: float, params: DeviceParams) -> float:

@@ -30,7 +30,7 @@ from fockmet import (
     sinusoidal_filter,
     spectroscopy_signal,
 )
-from fockmet.composite import _branch, photon_detuning_hz
+from fockmet.composite import _branch, photon_detuning_hz, sample_shots
 
 
 # Reference implementation: the literal qubit (x) cavity circuit that the
@@ -234,6 +234,21 @@ class TestRamseyAndSpectroscopy:
         a = spectroscopy_signal(np.array([1.0]), grid, p, 0.1e6, shots=1000, seed=3)
         b = spectroscopy_signal(np.array([1.0]), grid, p, 0.1e6, shots=1000, seed=3)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shots", [0, -5, 2.5, True])
+    def test_invalid_shot_count_rejected(self, shots):
+        p = DeviceParams()
+        grid = np.linspace(-2e6, 0.5e6, 31)
+        with pytest.raises(ValueError, match="shots"):
+            spectroscopy_signal(np.array([1.0]), grid, p, 0.1e6, shots=shots, seed=3)
+        with pytest.raises(ValueError, match="shots"):
+            sample_shots(np.full(5, 0.5), shots, np.random.default_rng(0))
+
+    def test_numpy_integer_shots_match_int(self):
+        probs = np.linspace(0.0, 1.0, 11)
+        a = sample_shots(probs, 100, np.random.default_rng(4))
+        b = sample_shots(probs, np.int64(100), np.random.default_rng(4))
+        np.testing.assert_array_equal(a, b)
 
 
 class TestResolveCascade:

@@ -20,6 +20,7 @@ from fockmet import (
     ramsey_trace,
     spectroscopy_signal,
 )
+from fockmet import estimation
 from fockmet.composite import photon_detuning_hz
 
 
@@ -151,6 +152,56 @@ class TestBootstrap:
     def test_minimum_resamples_enforced(self):
         with pytest.raises(ValueError):
             bootstrap_precision(self._record(1000), resamples=100)
+
+    @pytest.mark.parametrize("shots", [0, -5, 2.5, True])
+    def test_invalid_shot_count_rejected(self, shots):
+        with pytest.raises(ValueError, match="shots"):
+            bootstrap_precision(self._record(shots), resamples=200)
+
+    def test_each_fisher_point_evaluates_its_curve_once(self, monkeypatch):
+        calls = []
+        parity_shape = estimation.parity_shape
+
+        def recorder(N, beta):
+            calls.append((N, np.array(beta, copy=True)))
+            return parity_shape(N, beta)
+
+        monkeypatch.setattr(estimation, "parity_shape", recorder)
+        bootstrap_precision(self._record(20000), resamples=200, seed=5)
+        assert len(calls) > 200
+        for (n0, b0), (n1, b1) in zip(calls, calls[1:]):
+            assert not (n0 == n1 and b0.shape == b1.shape and np.array_equal(b0, b1))
+
+
+class TestShotRecord:
+    def test_stores_float_arrays(self):
+        rec = ShotRecord(grid=[0, 1, 2], pg=[1, 0, 1], shots=10, model=Parameter.BETA, N=2)
+        assert rec.grid.dtype == float and rec.pg.dtype == float
+        np.testing.assert_array_equal(rec.grid, [0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "grid, pg",
+        [
+            (np.linspace(0.0, 1.0, 41), np.full(40, 0.5)),
+            (np.linspace(0.0, 1.0, 41).reshape(1, 41), np.full((1, 41), 0.5)),
+            (np.float64(0.5), np.float64(0.5)),
+        ],
+    )
+    def test_rejects_mismatched_or_non_1d_arrays(self, grid, pg):
+        with pytest.raises(ValueError, match="1-D"):
+            ShotRecord(grid=grid, pg=pg, shots=100, model=Parameter.BETA, N=4)
+
+    def test_rejects_negative_n(self):
+        grid = np.linspace(0.0, 1.0, 41)
+        with pytest.raises(ValueError, match="non-negative"):
+            ShotRecord(grid=grid, pg=np.full(41, 0.5), shots=100, model=Parameter.BETA, N=-1)
+
+    def test_phase_model_needs_photons(self):
+        grid = np.linspace(0.0, 0.2, 41)
+        with pytest.raises(ValueError, match="N >= 1"):
+            ShotRecord(grid=grid, pg=np.full(41, 0.5), shots=100, model=Parameter.PHI, N=0)
+        # The displacement model is defined at N = 0.
+        ShotRecord(grid=grid, pg=parity_curve_ideal(0, grid), shots=100, model=Parameter.BETA, N=0)
 
 
 class TestScalingFit:

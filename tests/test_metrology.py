@@ -23,6 +23,7 @@ from fockmet import (
     weighted_fisher,
 )
 from fockmet.metrology import (
+    binary_fisher,
     fock_fisher,
     gain_db_from_fisher,
     gain_db_from_precision,
@@ -151,6 +152,17 @@ class TestFisher:
         np.testing.assert_allclose(on_array[~clamped], per_point[~clamped], rtol=rtol, atol=0)
         assert type(cfi_of_curve(P, 0.3, dP)) is float
 
+    @pytest.mark.parametrize("n", [10, 100, 400])
+    def test_binary_fisher_on_values_is_cfi_of_curve(self, n):
+        P = lambda x: parity_curve_ideal(n, x)  # noqa: E731
+        dP = lambda x: parity_curve_deriv(n, x)  # noqa: E731
+        beta = np.linspace(0.0, 2.0, 401)
+        np.testing.assert_array_equal(binary_fisher(P(beta), dP(beta)), cfi_of_curve(P, beta, dP))
+        for b in (0.0, 1e-3, 0.05, 0.3):
+            got = binary_fisher(P(b), dP(b))
+            assert type(got) is float
+            assert got == cfi_of_curve(P, b, dP)
+
     def test_weighted_fisher_identity(self):
         pops = [(0, 0.2), (1, 0.3), (2, 0.5)]
         nbar = sum(n * p for n, p in pops)
@@ -202,10 +214,11 @@ class TestMaximization:
     def test_finds_small_beta_plateau(self):
         n = 1
         f, arg = maximize_fisher(
-            lambda b: parity_curve_ideal(n, b),
+            lambda b: cfi_of_curve(
+                lambda x: parity_curve_ideal(n, x), b, lambda x: parity_curve_deriv(n, x)
+            ),
             1e-3,
             1.0,
-            lambda b: parity_curve_deriv(n, b),
         )
         assert f == pytest.approx(4 * (2 * n + 1), rel=1e-2)
         assert arg < 0.1
@@ -222,3 +235,27 @@ class TestMaximization:
         )
         assert rep.precision == pytest.approx(1 / math.sqrt(rep.fisher_max))
         assert rep.gain_db == pytest.approx(20 * math.log10(0.5 / rep.precision))
+
+    def test_flat_curve_carries_no_fisher_information(self):
+        flat = lambda b: 0.5 + 0.0 * np.asarray(b)  # noqa: E731
+        with pytest.raises(ValueError, match="no Fisher information"):
+            precision_report(Parameter.BETA, flat, 1e-3, 1.0, sql_precision=0.5)
+        with pytest.raises(ValueError, match="no Fisher information"):
+            maximize_fisher(lambda b: 0.0 * np.asarray(b), 0.0, 1.0)
+
+    def test_report_fields_are_python_floats(self):
+        # N = 10 on [0, 1]: the maximum lies inside a grid cell, so the
+        # golden-section refinement supplies it.
+        n = 10
+        rep = precision_report(
+            Parameter.BETA,
+            lambda b: parity_curve_ideal(n, b),
+            0.0,
+            1.0,
+            sql_precision=0.5,
+            dP=lambda b: parity_curve_deriv(n, b),
+        )
+        assert 0.0 < rep.argmax_location < 1.0 / 400
+        assert type(rep.fisher_max) is float
+        assert type(rep.argmax_location) is float
+        assert all(type(v) is float for v in golden_max(lambda x: -((x - 0.3) ** 2), 0.0, 1.0, 11, 1e-9))
