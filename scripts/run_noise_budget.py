@@ -7,10 +7,19 @@ sweep locating the optimal photon number under the default device rates.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
-from fockmet import DeviceParams, HilbertSpec, LindbladSpec, lindblad_evolve, parity_prob_noisy, toy_model
+from fockmet import (
+    DeviceParams,
+    FockmetError,
+    HilbertSpec,
+    LindbladSpec,
+    lindblad_evolve,
+    parity_prob_noisy,
+    toy_model,
+)
 from fockmet.noise import parity_readout_probability, qubit_cavity_parity_setup
 
 
@@ -51,4 +60,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except FockmetError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -8,10 +8,11 @@ ideal -1/2 scaling.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
-from fockmet import DeviceParams, fit_scaling_exponent, toy_model
+from fockmet import DeviceParams, FockmetError, fit_scaling_exponent, toy_model
 from fockmet.metrology import fock_fisher
 
 
@@ -35,4 +36,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except FockmetError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        sys.exit(2)

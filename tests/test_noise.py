@@ -1,9 +1,14 @@
 """Lindblad propagation, perturbative correction, and closed-form error models."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 from fockmet import (
@@ -28,6 +33,7 @@ from fockmet import (
 from fockmet.metrology import parity_curve_ideal
 from fockmet.noise import (
     _liouvillian,
+    _substeps,
     parity_readout_probability,
     qubit_cavity_parity_setup,
     unitary_evolution,
@@ -107,8 +113,9 @@ class TestLiouvillian:
             jumps = [(jumps[0][0], 0.0), jumps[1]]
         elif case == "non-normal-only":
             jumps = jumps[:1]
-        liou = _liouvillian(h, [(LinearOp(l_mat, spec), rate) for l_mat, rate in jumps])
-        assert np.max(np.abs(liou.toarray() - _generator_by_columns(h, jumps))) <= 1e-14
+        liou, shift = _liouvillian(h, [(LinearOp(l_mat, spec), rate) for l_mat, rate in jumps], 1.0)
+        generator = liou.toarray() + np.diag(shift)
+        assert np.max(np.abs(generator - _generator_by_columns(h, jumps))) <= 1e-14
         # Canonical CSR: column indices strictly increasing within every row.
         assert liou.format == "csr" and liou.has_canonical_format
         for row in range(dim * dim):
@@ -185,6 +192,55 @@ class TestLindbladEvolve:
         assert one_norm > 63
         assert error <= 1e-12
 
+    def test_block_shift_matches_dense_expm_on_parity_setup(self):
+        params = _scaled_params(0.1)
+        rho, h, jumps = qubit_cavity_parity_setup(1, 0.1, params, HilbertSpec(6, 0))
+        t = params.T_M
+        _, shift = _liouvillian(h.matrix, jumps, t)
+        assert np.unique(shift).size > 1  # more than one invariant block
+        generator = _generator_by_columns(h.matrix, [(op.matrix, rate) for op, rate in jumps]) * t
+        dim = rho.spec.dim
+        expected = (expm(generator) @ rho.matrix.reshape(-1)).reshape(dim, dim)
+        out = lindblad_evolve(rho, LindbladSpec(h, jumps, duration=t, dt=t))
+        assert np.max(np.abs(out.matrix - 0.5 * (expected + expected.conj().T))) <= 1e-12
+
+    def test_block_shift_matches_dense_expm_on_direct_sum(self):
+        # Two random models on C^3 + C^4, the second lifted by 25 in energy:
+        # the coherence blocks rho_12 and rho_21 get diagonals +25i and -25i,
+        # 50i apart, which only a shift per block removes.
+        (h1, jumps1, _), (h2, jumps2, _) = _random_model(3), _random_model(4)
+        dim = 7
+        spec = HilbertSpec(dim)
+        h = np.zeros((dim, dim), dtype=complex)
+        h[:3, :3], h[3:, 3:] = h1, h2 + 25.0 * np.eye(4)
+        jumps = []
+        for (l1, rate), (l2, _) in zip(jumps1, jumps2):
+            l_mat = np.zeros((dim, dim), dtype=complex)
+            l_mat[:3, :3], l_mat[3:, 3:] = l1, l2
+            jumps.append((l_mat, rate))
+        rng = np.random.default_rng(5)
+        w = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho0 = w @ w.conj().T / np.trace(w @ w.conj().T)
+        t = 1.3
+        ops = [(LinearOp(l_mat, spec), rate) for l_mat, rate in jumps]
+        liou, shift = _liouvillian(h, ops, t)
+        assert np.ptp(shift.imag) == pytest.approx(50.0 * t, rel=0.01)
+        assert _substeps(liou) == 1
+        assert _substeps(liou + sp.diags(shift - shift.mean())) >= 4
+        generator = _generator_by_columns(h, jumps) * t
+        expected = (expm(generator) @ rho0.reshape(-1)).reshape(dim, dim)
+        lindblad = LindbladSpec(LinearOp(h, spec), ops, duration=t, dt=t)
+        out = lindblad_evolve(MixedState(rho0, spec), lindblad)
+        assert np.max(np.abs(out.matrix - expected)) <= 1e-12
+
+    def test_block_shift_cuts_substeps_at_working_point(self):
+        params = _scaled_params(0.1)
+        _, h, jumps = qubit_cavity_parity_setup(4, 0.2, params, HilbertSpec(16, 0))
+        liou, shift = _liouvillian(h.matrix, jumps, params.T_M)
+        scalar_shifted = liou + sp.diags(shift - shift.mean())
+        assert _substeps(scalar_shifted) == 5
+        assert _substeps(liou) == 3
+
     def test_zero_generator_returns_the_state(self):
         dim = 5
         spec = HilbertSpec(dim)
@@ -226,6 +282,23 @@ class TestLindbladEvolve:
             LindbladSpec(zero_h, [(lower, -1.0)], duration=1.0, dt=0.1)
         with pytest.raises(ValueError):
             LindbladSpec(zero_h, [(lower, 1.0)], duration=1.0, dt=0.0)
+
+
+def test_propagation_loads_no_sparse_linalg():
+    # scipy.sparse.csgraph imports scipy.sparse.linalg: megabytes of memory
+    # and tens of milliseconds that finding the generator's blocks must not cost.
+    code = (
+        "import sys, fockmet\n"
+        "from fockmet import DeviceParams, HilbertSpec, LindbladSpec, lindblad_evolve\n"
+        "from fockmet.noise import qubit_cavity_parity_setup\n"
+        "params = DeviceParams()\n"
+        "rho, h, jumps = qubit_cavity_parity_setup(1, 0.1, params, HilbertSpec(8, 0))\n"
+        "lindblad_evolve(rho, LindbladSpec(h, jumps, duration=params.T_M, dt=params.T_M))\n"
+        "print([m for m in ('scipy.sparse.csgraph', 'scipy.sparse.linalg') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestUnitaryEvolution:
