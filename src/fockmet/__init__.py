@@ -31,6 +31,7 @@ from .errors import (
     FockmetError,
     InteriorAccuracyError,
     ModelBreakdownError,
+    SubstepLimitError,
     TruncationError,
 )
 from .estimation import (

@@ -21,6 +21,10 @@ class ModelBreakdownError(FockmetError):
     """A perturbative model was evaluated outside its validity domain."""
 
 
+class SubstepLimitError(FockmetError):
+    """A Lindblad generator needs more Taylor substeps than the propagator allows."""
+
+
 class ConfigError(FockmetError):
     """Run configuration failed validation."""
 

@@ -8,14 +8,16 @@ precision versus photon number.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .composite import DeviceParams
-from .errors import ModelBreakdownError
+from .errors import ModelBreakdownError, SubstepLimitError
 from .fockspace import HilbertSpec, LinearOp, MixedState
 from .metrology import gain_db_from_precision, parity_shape, sql_baselines
 
@@ -38,6 +40,40 @@ class LindbladSpec:
             raise ValueError("jump rates must be non-negative")
         if self.dt <= 0 or self.dt > self.duration:
             raise ValueError("need 0 < dt <= duration")
+
+
+# The state-independent work of ``lindblad_evolve`` and
+# ``perturbation_first_order`` as (key, entry) pairs, most recently used last.
+_MEMO_SIZE = 4
+_memo: list[tuple[tuple, tuple]] = []
+_memo_lock = threading.Lock()
+
+
+def _memoized(build, hamiltonian: np.ndarray, jumps: list[tuple[LinearOp, float]], duration: float) -> tuple:
+    """build(hamiltonian, jumps, duration), kept in the memo and reused.
+
+    The key holds ``build``, the bytes of the duration and the rates, and the
+    dtype, shape and bytes of H and of every jump matrix, so a hit is exact.
+    Two threads that miss on one key both build it, and the equal entries
+    both go in; the surplus one ages out.  An entry whose build raises is
+    never stored.
+    """
+    matrices = (hamiltonian, *(op.matrix for op, _ in jumps))
+    key = (
+        build,
+        np.array([duration, *(rate for _, rate in jumps)], dtype=float).tobytes(),
+        tuple((m.dtype.str, m.shape, m.tobytes()) for m in matrices),
+    )
+    with _memo_lock:
+        for i, (stored, entry) in enumerate(_memo):
+            if stored == key:
+                _memo.append(_memo.pop(i))
+                return entry
+    entry = build(hamiltonian, jumps, duration)
+    with _memo_lock:
+        _memo.append((key, entry))
+        del _memo[:-_MEMO_SIZE]
+    return entry
 
 
 def _lindblad_coo(hamiltonian: np.ndarray, jumps: list[tuple[LinearOp, float]]):
@@ -129,12 +165,36 @@ def _liouvillian(hamiltonian: np.ndarray, jumps: list[tuple[LinearOp, float]], d
 # Taylor polynomial meets unit roundoff.
 _THETA_55 = 9.9
 _UNIT_ROUNDOFF = 2.0**-53
+# The most substeps ``lindblad_evolve`` takes.  The working points of
+# ``qubit_cavity_parity_setup`` need 3 (N = 4) to 85 (N = 400); a duration in
+# seconds where the generator's unit is T_M asks for hundreds of thousands.
+MAX_SUBSTEPS = 1000
+
+
+def _one_norm(op) -> float:
+    """Largest column sum of |op| for a sparse CSR op."""
+    return np.bincount(op.indices, np.abs(op.data), op.shape[0]).max()
 
 
 def _substeps(op) -> int:
     """Taylor substeps for a sparse op: max(1, ceil(||op||_1 / theta_55))."""
-    one_norm = np.bincount(op.indices, np.abs(op.data), op.shape[0]).max()
-    return max(1, math.ceil(one_norm / _THETA_55))
+    return max(1, math.ceil(_one_norm(op) / _THETA_55))
+
+
+def _propagator(hamiltonian: np.ndarray, jumps: list[tuple[LinearOp, float]], duration: float):
+    """(op, substeps, eta) for ``_expm_action``: T L = op + diag(shift), eta = exp(shift / substeps).
+
+    Raises SubstepLimitError, before any product, when the generator needs
+    more than MAX_SUBSTEPS substeps.
+    """
+    op, shift = _liouvillian(hamiltonian, jumps, duration)
+    steps = _substeps(op)
+    if steps > MAX_SUBSTEPS:
+        raise SubstepLimitError(
+            f"duration {duration:.6g} gives ||T L||_1 = {_one_norm(op):.6g}, "
+            f"{steps} Taylor substeps > {MAX_SUBSTEPS}; is the duration in the rates' time unit?"
+        )
+    return op, steps, np.exp(shift / steps)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -142,19 +202,17 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(np.vdot(x, x).real)
 
 
-def _expm_action(op, shift: np.ndarray, vec: np.ndarray) -> np.ndarray:
+def _expm_action(op, steps: int, eta: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """exp(diag(shift) + op) @ vec for a sparse op that commutes with diag(shift).
 
     Algorithm 3.2 of Al-Mohy & Higham (2011) with their shift generalised to
     the diagonal M = diag(shift) that ``_liouvillian`` takes out of each
-    invariant block: s = ``_substeps(op)`` substeps, each at most 55 Taylor
-    terms of exp(op / s) followed by exp(M / s) elementwise.  Their stopping
-    rule ||b_{j-1}|| + ||b_j|| <= 2^-53 ||F|| uses the 2-norm throughout, one
-    ``vdot`` per term; the exact ||F|| is taken only once the running sum of
-    term norms, an upper bound on it, would pass the test.
+    invariant block: ``steps`` = ``_substeps(op)`` substeps, each at most 55
+    Taylor terms of exp(op / s) followed by eta = exp(M / s) elementwise.
+    Their stopping rule ||b_{j-1}|| + ||b_j|| <= 2^-53 ||F|| uses the 2-norm
+    throughout, one ``vdot`` per term; the exact ||F|| is taken only once
+    the running sum of term norms, an upper bound on it, would pass the test.
     """
-    steps = _substeps(op)
-    eta = np.exp(shift / steps)
     out = np.array(vec, dtype=complex)
     for _ in range(steps):
         term = out
@@ -183,10 +241,19 @@ def lindblad_evolve(rho: MixedState, spec: LindbladSpec) -> MixedState:
     of 5 at the N = 4, dim 16 working point of ``qubit_cavity_parity_setup``).
     The result is symmetrized once, and ValueError is raised if it is not a
     physical state (trace, hermiticity, positivity).
+
+    The generator, its substep count and exp(shift / substeps) depend only
+    on H, the jumps with their rates and the duration.  They are built once
+    and kept in a memo of at most ``_MEMO_SIZE`` entries (shared with
+    ``perturbation_first_order``, least recently used dropped first), keyed
+    on the bytes of the duration, the rates, and the dtype, shape and bytes
+    of H and of every jump matrix; a sweep over states reuses them.
+    SubstepLimitError is raised, before any product and without keeping the
+    generator, when it needs more than MAX_SUBSTEPS substeps.
     """
     dim = rho.spec.dim
-    op, shift = _liouvillian(spec.hamiltonian.matrix, spec.jumps, spec.duration)
-    state = _expm_action(op, shift, rho.matrix.reshape(-1)).reshape(dim, dim)
+    op, steps, eta = _memoized(_propagator, spec.hamiltonian.matrix, spec.jumps, spec.duration)
+    state = _expm_action(op, steps, eta, rho.matrix.reshape(-1)).reshape(dim, dim)
     out = MixedState(0.5 * (state + state.conj().T), rho.spec)
     out.check_physical()
     return out
@@ -203,6 +270,22 @@ def unitary_evolution(rho0: MixedState, hamiltonian: LinearOp):
         return vecs @ rotated @ vecs.conj().T
 
     return rho_of_t
+
+
+def _first_order_terms(h: np.ndarray, jumps: list[tuple[LinearOp, float]], T: float):
+    """(evals, vecs, rows, cols, vals, kernel) of ``perturbation_first_order``.
+
+    eigh(H) = (evals, vecs), the COO triplets of the jump generator with the
+    jumps rotated into H's eigenbasis, and each triplet's sinc kernel over
+    the window T.
+    """
+    evals, vecs = np.linalg.eigh(h)
+    rotated = [(LinearOp(vecs.conj().T @ op.matrix @ vecs, op.spec), rate) for op, rate in jumps]
+    rows, cols, vals = _lindblad_coo(np.zeros_like(h), rotated)
+    omega = (evals[:, None] - evals[None, :]).ravel() * T
+    x = omega[rows] - omega[cols]
+    kernel = np.exp(0.5j * x - 1j * omega[rows]) * np.sinc(x / (2 * np.pi))
+    return evals, vecs, rows, cols, vals, kernel
 
 
 def perturbation_first_order(
@@ -230,6 +313,13 @@ def perturbation_first_order(
     ``rho0_of_t`` must be the unitary evolution under ``hamiltonian``; a
     mismatch at T above 1e-9 raises ValueError.  ``num_points`` is validated
     but ignored.  Warns when any kappa_m * T exceeds 0.3.
+
+    eigh(H), the rotated jump generator's triplets and the kernel depend
+    only on H, the jumps with their rates and T.  They are built once and
+    kept in the memo that ``lindblad_evolve`` uses (at most ``_MEMO_SIZE``
+    entries, keyed on the bytes of T, the rates, H and every jump), so each
+    call is left with rho0 in the eigenbasis, the unitary guard, one gather
+    and one sum.
     """
     for _, rate in jumps:
         if rate * T > 0.3:
@@ -239,7 +329,7 @@ def perturbation_first_order(
         raise ValueError("num_points must be at least 5")
 
     h = hamiltonian.matrix
-    evals, vecs = np.linalg.eigh(h)
+    evals, vecs, rows, cols, vals, kernel = _memoized(_first_order_terms, h, jumps, T)
     rho_eig = vecs.conj().T @ rho0_of_t(0.0) @ vecs
     phases = np.exp(-1j * evals * T)
     unitary = vecs @ (phases[:, None] * rho_eig * phases.conj()) @ vecs.conj().T
@@ -249,11 +339,6 @@ def perturbation_first_order(
             "rho0_of_t is not the unitary evolution under hamiltonian: "
             f"deviation {mismatch:.2e} at T"
         )
-    rotated = [(LinearOp(vecs.conj().T @ op.matrix @ vecs, op.spec), rate) for op, rate in jumps]
-    rows, cols, vals = _lindblad_coo(np.zeros_like(h), rotated)
-    omega = (evals[:, None] - evals[None, :]).ravel() * T
-    x = omega[rows] - omega[cols]
-    kernel = np.exp(0.5j * x - 1j * omega[rows]) * np.sinc(x / (2 * np.pi))
     terms = vals * rho_eig.ravel()[cols] * kernel
     rho1 = _sum_at(rows, terms, h.size)
     return T * (vecs @ rho1.reshape(h.shape) @ vecs.conj().T)
@@ -333,6 +418,33 @@ def init_fidelity_model(N: int, params: DeviceParams) -> float:
     return 1.0 - loss
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _parity_operators(spec: HilbertSpec, T_M: float) -> tuple[LinearOp, ...]:
+    """H = (pi / T_M) n |e><e| and the jump operators a, n, sigma_- and |e><e| on qubit x cavity."""
+    from .fockspace import ladder_ops
+
+    dim = spec.dim
+    cspec = HilbertSpec(2 * dim, spec.guard)
+    chi_sim = math.pi / T_M
+    n_diag = np.arange(dim)
+    h = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    h[dim:, dim:] = np.diag(chi_sim * n_diag)
+
+    lower, _ = ladder_ops(spec)
+    eye2 = np.eye(2)
+    sig_minus = np.zeros((2, 2)); sig_minus[0, 1] = 1.0
+    proj_e = np.zeros((2, 2)); proj_e[1, 1] = 1.0
+    eye_c = np.eye(dim)
+    matrices = (
+        h,
+        np.kron(eye2, lower.matrix),
+        np.kron(eye2, np.diag(n_diag).astype(complex)),
+        np.kron(sig_minus, eye_c).astype(complex),
+        np.kron(proj_e, eye_c).astype(complex),
+    )
+    return tuple(LinearOp(m, cspec) for m in matrices)
+
+
 def qubit_cavity_parity_setup(
     N: int, beta: float, params: DeviceParams, spec: HilbertSpec
 ) -> tuple[MixedState, LinearOp, list[tuple[LinearOp, float]]]:
@@ -343,36 +455,21 @@ def qubit_cavity_parity_setup(
     decay/dephasing jumps.  chi_sim = pi / T_M so the conditional phase
     reaches exactly pi over the measurement window, matching the
     closed-form noisy parity probability.
-    """
-    from .fockspace import displacement, fock_state, ladder_ops
 
-    dim = spec.dim
+    H and the four jump operators depend only on ``spec`` and ``params.T_M``;
+    they are built once per pair (an LRU cache of at most ``_MEMO_SIZE``)
+    and shared, which is safe because a ``LinearOp``'s matrix is read-only.
+    The jump list, with the rates of ``params``, is new on every call.
+    """
+    from .fockspace import displacement, fock_state
+
+    hamiltonian, *ops = _parity_operators(spec, params.T_M)
     cav = displacement(beta, spec).apply(fock_state(N, spec))
     plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
     psi = np.kron(plus, cav)
-    cspec = HilbertSpec(2 * dim, spec.guard)
-    rho = MixedState(np.outer(psi, psi.conj()), cspec)
-
-    chi_sim = math.pi / params.T_M
-    n_diag = np.arange(dim)
-    h = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    h[dim:, dim:] = np.diag(chi_sim * n_diag)
-    hamiltonian = LinearOp(h, cspec)
-
-    lower, _ = ladder_ops(spec)
-    eye2 = np.eye(2)
-    a_full = np.kron(eye2, lower.matrix)
-    n_full = np.kron(eye2, np.diag(n_diag).astype(complex))
-    sig_minus = np.zeros((2, 2)); sig_minus[0, 1] = 1.0
-    proj_e = np.zeros((2, 2)); proj_e[1, 1] = 1.0
-    eye_c = np.eye(dim)
-    jumps = [
-        (LinearOp(a_full, cspec), params.kappa1),
-        (LinearOp(n_full, cspec), params.kappa2),
-        (LinearOp(np.kron(sig_minus, eye_c).astype(complex), cspec), params.kappa3),
-        (LinearOp(np.kron(proj_e, eye_c).astype(complex), cspec), params.kappa4),
-    ]
-    return rho, hamiltonian, jumps
+    rho = MixedState(np.outer(psi, psi.conj()), hamiltonian.spec)
+    rates = (params.kappa1, params.kappa2, params.kappa3, params.kappa4)
+    return rho, hamiltonian, list(zip(ops, rates))
 
 
 def parity_readout_probability(rho: MixedState) -> float:

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from fockmet import (
     LinearOp,
     MixedState,
     ModelBreakdownError,
+    SubstepLimitError,
     coherent_state,
     default_spec,
     displacement_dephasing_bias,
@@ -30,6 +33,7 @@ from fockmet import (
     perturbation_first_order,
     toy_model,
 )
+from fockmet import noise
 from fockmet.metrology import parity_curve_ideal
 from fockmet.noise import (
     _liouvillian,
@@ -299,6 +303,128 @@ def test_propagation_loads_no_sparse_linalg():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_duration_in_seconds_raises_before_any_product():
+    # T = 1 s where the rates expect T_M = 1.6 us: 298,586 substeps.
+    params = DeviceParams()
+    rho, h, jumps = qubit_cavity_parity_setup(1, 0.1, params, HilbertSpec(4, 0))
+    noise._memo.clear()
+    start = time.perf_counter()
+    with pytest.raises(SubstepLimitError, match=r"duration 1 gives \|\|T L\|\|_1 = 2\.9"):
+        lindblad_evolve(rho, LindbladSpec(h, jumps, duration=1.0, dt=1.0))
+    assert time.perf_counter() - start < 1.0
+    assert noise._memo == []
+
+
+def _parity_model(beta=0.2, scale=0.1, dim=8):
+    """State, H, jumps and window of the parity readout at N = 2."""
+    params = _scaled_params(scale)
+    rho, h, jumps = qubit_cavity_parity_setup(2, beta, params, HilbertSpec(dim, 0))
+    return rho, h, jumps, params.T_M
+
+
+def _noise_outputs(rho, h, jumps, t):
+    """Bytes of the evolved state and of the first-order term."""
+    evolved = lindblad_evolve(rho, LindbladSpec(h, jumps, duration=t, dt=t))
+    rho1 = perturbation_first_order(unitary_evolution(rho, h), h, jumps, t)
+    return evolved.matrix.tobytes(), rho1.tobytes()
+
+
+def _cold_outputs(*model):
+    noise._memo.clear()
+    return _noise_outputs(*model)
+
+
+class TestGeneratorMemo:
+    @pytest.mark.parametrize("beta", [0.12, 0.2, 0.28])
+    def test_warm_call_is_bitwise_the_cold_call(self, beta):
+        model = _parity_model(beta)
+        cold = _cold_outputs(*model)
+        assert len(noise._memo) == 2
+        _noise_outputs(*_parity_model(0.5 * beta))  # same generator, another state
+        assert _noise_outputs(*model) == cold
+        assert len(noise._memo) == 2
+
+    @pytest.mark.parametrize("change", ["rate", "hamiltonian-entry", "jump-matrix", "duration"])
+    def test_changed_generator_misses(self, change):
+        rho, h, jumps, t = _parity_model()
+        if change == "rate":
+            jumps = [jumps[0], (jumps[1][0], 2.0 * jumps[1][1]), *jumps[2:]]
+        elif change == "hamiltonian-entry":
+            matrix = h.matrix.copy()
+            matrix[-1, -1] *= 1.5
+            h = LinearOp(matrix, h.spec)
+        elif change == "jump-matrix":
+            op, rate = jumps[2]
+            jumps = [*jumps[:2], (LinearOp(0.5 * op.matrix, op.spec), rate), jumps[3]]
+        else:
+            t = 0.9 * t
+        cold = _cold_outputs(rho, h, jumps, t)
+        noise._memo.clear()
+        base = _noise_outputs(*_parity_model())
+        assert _noise_outputs(rho, h, jumps, t) == cold != base
+        assert len(noise._memo) == 4
+
+    def test_memo_is_bounded(self):
+        noise._memo.clear()
+        for k in range(20):
+            _noise_outputs(*_parity_model(scale=0.1 * (1 + k / 20)))
+            assert len(noise._memo) <= noise._MEMO_SIZE
+        assert len(noise._memo) == noise._MEMO_SIZE
+
+    def test_mutated_operator_misses(self):
+        # LinearOp freezes the view it is given, not the view's base, so the
+        # same operator object can change content between calls.
+        rho, h, jumps, t = _parity_model()
+        base = np.array(h.matrix)
+        ham = LinearOp(base[:], h.spec)
+        entry = base[-1, -1]
+        cold = _cold_outputs(rho, ham, jumps, t)
+        base[-1, -1] = 1.5 * entry
+        assert _noise_outputs(rho, ham, jumps, t) == _cold_outputs(rho, ham, jumps, t) != cold
+        base[-1, -1] = entry
+        assert _noise_outputs(rho, ham, jumps, t) == cold
+
+    def test_setup_returns_a_new_jump_list(self):
+        params = _scaled_params(0.1)
+        spec = HilbertSpec(8, 0)
+        _, _, jumps = qubit_cavity_parity_setup(2, 0.2, params, spec)
+        jumps.append(jumps[0])
+        _, _, again = qubit_cavity_parity_setup(2, 0.2, params, spec)
+        assert len(again) == 4
+        assert [rate for _, rate in again] == [params.kappa1, params.kappa2, params.kappa3, params.kappa4]
+
+    def test_concurrent_calls_match_cold_calls(self):
+        # Three generators in turn over four threads keep the memo missing,
+        # evicting and hitting.
+        models = [_parity_model(0.1 + 0.05 * k, scale=0.05 * (k + 1)) for k in range(3)]
+        cold = [_cold_outputs(*model) for model in models]
+        noise._memo.clear()
+        failures = []
+
+        def worker(offset):
+            try:
+                for k in range(12):
+                    i = (k + offset) % len(models)
+                    if _noise_outputs(*models[i]) != cold[i]:
+                        failures.append(f"thread {offset}, generator {i}: differs from the cold call")
+            except Exception as exc:
+                failures.append(repr(exc))
+
+        threads = [threading.Thread(target=worker, args=(offset,)) for offset in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(noise._memo) <= noise._MEMO_SIZE
 
 
 class TestUnitaryEvolution:
