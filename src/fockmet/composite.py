@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FilterStarvationError
-from .fockspace import HilbertSpec, PureState, coherent_state
+from .fockspace import HilbertSpec, PureState, _owned, coherent_state
 
 TWO_PI = 2.0 * math.pi
 
@@ -115,7 +115,7 @@ def _branch(amplitudes: np.ndarray, spec: HilbertSpec) -> tuple[PureState | None
     p = float(np.sum(np.abs(amplitudes) ** 2))
     if p < BRANCH_EPS:
         return None, p
-    return PureState(amplitudes / math.sqrt(p), spec), p
+    return PureState(_owned(amplitudes / math.sqrt(p)), spec), p
 
 
 def _ramsey(dn, theta: float, phi: float = 0.0) -> tuple[np.ndarray, np.ndarray]:

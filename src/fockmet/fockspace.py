@@ -55,9 +55,36 @@ def default_spec(n_max: int) -> HilbertSpec:
     return HilbertSpec(dim=n_max + head, guard=head // 2)
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+class _Owned:
+    """An array that fockmet has just built, handed to a constructor to keep."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+def _owned(array: np.ndarray) -> _Owned:
+    """Give ``array`` to a ``PureState``, ``MixedState`` or ``LinearOp`` without a copy.
+
+    Only for arrays that fockmet has just built and that nothing else holds:
+    the constructor freezes the array itself.
+    """
+    return _Owned(array)
+
+
+def _frozen(arr) -> np.ndarray:
+    """A read-only complex C-contiguous copy of ``arr``, or an ``_owned`` array itself.
+
+    Copying a caller's array leaves the caller free to write it, and leaves
+    the object unchanged when the caller (or the base of a view) is written.
+    """
+    if isinstance(arr, _Owned):
+        out = np.ascontiguousarray(arr.array, dtype=complex)
+    else:
+        out = np.array(arr, dtype=complex, order="C")
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -68,10 +95,10 @@ class PureState:
     spec: HilbertSpec
 
     def __post_init__(self):
-        amp = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        amp = _frozen(self.amplitudes)
         if amp.shape != (self.spec.dim,):
             raise ValueError(f"amplitude vector must have length {self.spec.dim}")
-        object.__setattr__(self, "amplitudes", _frozen(amp))
+        object.__setattr__(self, "amplitudes", amp)
 
     @classmethod
     def normalized(cls, amplitudes: np.ndarray, spec: HilbertSpec) -> "PureState":
@@ -79,7 +106,7 @@ class PureState:
         norm = np.linalg.norm(amp)
         if norm == 0.0:
             raise ValueError("cannot normalize a zero vector")
-        return cls(amp / norm, spec)
+        return cls(_owned(amp / norm), spec)
 
     @property
     def norm(self) -> float:
@@ -102,7 +129,7 @@ class PureState:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def to_mixed(self) -> "MixedState":
-        return MixedState(np.outer(self.amplitudes, self.amplitudes.conj()), self.spec)
+        return MixedState(_owned(np.outer(self.amplitudes, self.amplitudes.conj())), self.spec)
 
 
 @dataclass(frozen=True)
@@ -113,10 +140,10 @@ class MixedState:
     spec: HilbertSpec
 
     def __post_init__(self):
-        mat = np.ascontiguousarray(self.matrix, dtype=complex)
+        mat = _frozen(self.matrix)
         if mat.shape != (self.spec.dim, self.spec.dim):
             raise ValueError(f"density matrix must be {self.spec.dim}x{self.spec.dim}")
-        object.__setattr__(self, "matrix", _frozen(mat))
+        object.__setattr__(self, "matrix", mat)
 
     @property
     def trace(self) -> float:
@@ -145,16 +172,16 @@ class LinearOp:
     spec: HilbertSpec
 
     def __post_init__(self):
-        mat = np.ascontiguousarray(self.matrix, dtype=complex)
+        mat = _frozen(self.matrix)
         if mat.shape != (self.spec.dim, self.spec.dim):
             raise ValueError(f"operator must be {self.spec.dim}x{self.spec.dim}")
-        object.__setattr__(self, "matrix", _frozen(mat))
+        object.__setattr__(self, "matrix", mat)
 
     def dagger(self) -> "LinearOp":
         return LinearOp(self.matrix.conj().T, self.spec)
 
     def __matmul__(self, other: "LinearOp") -> "LinearOp":
-        return LinearOp(self.matrix @ other.matrix, self.spec)
+        return LinearOp(_owned(self.matrix @ other.matrix), self.spec)
 
     def apply(self, state: PureState) -> np.ndarray:
         return self.matrix @ state.amplitudes
@@ -171,16 +198,16 @@ def ladder_ops(spec: HilbertSpec) -> tuple[LinearOp, LinearOp]:
     lower = np.zeros((spec.dim, spec.dim), dtype=complex)
     n = np.arange(1, spec.dim)
     lower[n - 1, n] = np.sqrt(n)
-    return LinearOp(lower, spec), LinearOp(lower.conj().T, spec)
+    return LinearOp(_owned(lower), spec), LinearOp(lower.conj().T, spec)
 
 
 def number_op(spec: HilbertSpec) -> LinearOp:
-    return LinearOp(np.diag(np.arange(spec.dim)).astype(complex), spec)
+    return LinearOp(_owned(np.diag(np.arange(spec.dim)).astype(complex)), spec)
 
 
 def parity_op(spec: HilbertSpec) -> LinearOp:
     signs = (-1.0) ** np.arange(spec.dim)
-    return LinearOp(np.diag(signs).astype(complex), spec)
+    return LinearOp(_owned(np.diag(signs).astype(complex)), spec)
 
 
 def fock_state(n: int, spec: HilbertSpec) -> PureState:
@@ -188,7 +215,7 @@ def fock_state(n: int, spec: HilbertSpec) -> PureState:
         raise ValueError(f"Fock index {n} outside [0, {spec.dim})")
     amp = np.zeros(spec.dim, dtype=complex)
     amp[n] = 1.0
-    return PureState(amp, spec)
+    return PureState(_owned(amp), spec)
 
 
 def _coherent_series(alpha: complex, dim: int) -> np.ndarray:
@@ -248,7 +275,7 @@ def displacement(beta: complex, spec: HilbertSpec, check_interior: bool = False)
         g, prev = (
             (2 * n + 1 + kk - x) * g[:-1] - np.sqrt(n * (n + kk)) * prev[:-1]
         ) / np.sqrt((n + 1) * (n + 1 + kk)), g[:-1]
-    op = LinearOp(mat, spec)
+    op = LinearOp(_owned(mat), spec)
     if check_interior and spec.guard > 0:
         defect = op.interior_unitarity_defect()
         if defect > 1e-8:
@@ -260,7 +287,7 @@ def displacement(beta: complex, spec: HilbertSpec, check_interior: bool = False)
 
 
 def displaced_state(beta: complex, state: PureState) -> PureState:
-    return PureState(displacement(beta, state.spec).apply(state), state.spec)
+    return PureState(_owned(displacement(beta, state.spec).apply(state)), state.spec)
 
 
 def parity_expectation(state: MixedState) -> float:

@@ -444,3 +444,19 @@ def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # The same config run as two processes, with one and with two BLAS
+    # threads, writes the same bytes.
+    config = ROOT / "configs" / "displacement_sweep.yaml"
+    code = "import sys; from fockmet.cli import main; sys.exit(main(sys.argv[1:]))"
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env.pop(OUTDIR_ENV, None)
+        args = [sys.executable, "-c", code, "run", str(config), "--out", str(out)]
+        subprocess.run(args, env=env, capture_output=True, text=True, check=True)
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert outputs[0] and outputs[0] == outputs[1]

@@ -11,6 +11,7 @@ from scipy.stats import poisson
 from fockmet import (
     HilbertSpec,
     InteriorAccuracyError,
+    LinearOp,
     MixedState,
     PureState,
     TruncationError,
@@ -129,6 +130,30 @@ class TestOperators:
             val = parity_expectation(fock_state(n, spec).to_mixed())
             assert val == pytest.approx((-1.0) ** n)
         assert np.allclose(np.diag(parity_op(spec).matrix), (-1.0) ** np.arange(9))
+
+
+class TestOwnership:
+    @pytest.mark.parametrize("kind", [LinearOp, MixedState, PureState])
+    def test_callers_array_stays_writable(self, kind):
+        shape = (2,) if kind is PureState else (2, 2)
+        given = np.zeros(shape, dtype=complex)
+        obj = kind(given, HilbertSpec(2))
+        given[0] = 1.0
+        stored = obj.amplitudes if kind is PureState else obj.matrix
+        assert not stored.flags.writeable
+        assert not np.any(stored)
+
+    def test_op_on_a_view_ignores_writes_to_the_base(self):
+        base = np.zeros((3, 2), dtype=complex)
+        op = LinearOp(base[:2], HilbertSpec(2))
+        base[0, 0] = 1.0
+        assert not np.any(op.matrix)
+
+    def test_built_results_are_frozen(self):
+        spec = HilbertSpec(6)
+        lower, upper = ladder_ops(spec)
+        for array in ((lower @ upper).matrix, displacement(0.3, spec).matrix, fock_state(1, spec).to_mixed().matrix):
+            assert not array.flags.writeable
 
 
 class TestDisplacement:

@@ -36,8 +36,7 @@ from fockmet import (
 from fockmet import noise
 from fockmet.metrology import parity_curve_ideal
 from fockmet.noise import (
-    _liouvillian,
-    _substeps,
+    _expm_action,
     parity_readout_probability,
     qubit_cavity_parity_setup,
     unitary_evolution,
@@ -52,6 +51,17 @@ def _scaled_params(scale: float) -> DeviceParams:
         kappa3=base.kappa3 * scale,
         kappa4=base.kappa4 * scale,
     )
+
+
+def _liouvillian_csr(h, jumps, t):
+    """T L - M as canonical CSR, the diagonal of M and the block labels."""
+    coo, shift, labels = noise._liouvillian(h, jumps, t)
+    return noise._csr(coo, labels.size), shift, labels
+
+
+def _steps(op) -> int:
+    """Taylor substeps for a CSR op."""
+    return noise._substeps(noise._one_norm(op), 1.0)
 
 
 def _generator_by_columns(h, jumps):
@@ -117,7 +127,7 @@ class TestLiouvillian:
             jumps = [(jumps[0][0], 0.0), jumps[1]]
         elif case == "non-normal-only":
             jumps = jumps[:1]
-        liou, shift = _liouvillian(h, [(LinearOp(l_mat, spec), rate) for l_mat, rate in jumps], 1.0)
+        liou, shift, _ = _liouvillian_csr(h, [(LinearOp(l_mat, spec), rate) for l_mat, rate in jumps], 1.0)
         generator = liou.toarray() + np.diag(shift)
         assert np.max(np.abs(generator - _generator_by_columns(h, jumps))) <= 1e-14
         # Canonical CSR: column indices strictly increasing within every row.
@@ -200,7 +210,7 @@ class TestLindbladEvolve:
         params = _scaled_params(0.1)
         rho, h, jumps = qubit_cavity_parity_setup(1, 0.1, params, HilbertSpec(6, 0))
         t = params.T_M
-        _, shift = _liouvillian(h.matrix, jumps, t)
+        _, shift, _ = _liouvillian_csr(h.matrix, jumps, t)
         assert np.unique(shift).size > 1  # more than one invariant block
         generator = _generator_by_columns(h.matrix, [(op.matrix, rate) for op, rate in jumps]) * t
         dim = rho.spec.dim
@@ -227,10 +237,10 @@ class TestLindbladEvolve:
         rho0 = w @ w.conj().T / np.trace(w @ w.conj().T)
         t = 1.3
         ops = [(LinearOp(l_mat, spec), rate) for l_mat, rate in jumps]
-        liou, shift = _liouvillian(h, ops, t)
+        liou, shift, _ = _liouvillian_csr(h, ops, t)
         assert np.ptp(shift.imag) == pytest.approx(50.0 * t, rel=0.01)
-        assert _substeps(liou) == 1
-        assert _substeps(liou + sp.diags(shift - shift.mean())) >= 4
+        assert _steps(liou) == 1
+        assert _steps(liou + sp.diags(shift - shift.mean())) >= 4
         generator = _generator_by_columns(h, jumps) * t
         expected = (expm(generator) @ rho0.reshape(-1)).reshape(dim, dim)
         lindblad = LindbladSpec(LinearOp(h, spec), ops, duration=t, dt=t)
@@ -240,10 +250,10 @@ class TestLindbladEvolve:
     def test_block_shift_cuts_substeps_at_working_point(self):
         params = _scaled_params(0.1)
         _, h, jumps = qubit_cavity_parity_setup(4, 0.2, params, HilbertSpec(16, 0))
-        liou, shift = _liouvillian(h.matrix, jumps, params.T_M)
+        liou, shift, _ = _liouvillian_csr(h.matrix, jumps, params.T_M)
         scalar_shifted = liou + sp.diags(shift - shift.mean())
-        assert _substeps(scalar_shifted) == 5
-        assert _substeps(liou) == 3
+        assert _steps(scalar_shifted) == 5
+        assert _steps(liou) == 3
 
     def test_zero_generator_returns_the_state(self):
         dim = 5
@@ -289,17 +299,28 @@ class TestLindbladEvolve:
 
 
 def test_propagation_loads_no_sparse_linalg():
-    # scipy.sparse.csgraph imports scipy.sparse.linalg: megabytes of memory
-    # and tens of milliseconds that finding the generator's blocks must not cost.
+    # scipy.sparse.csgraph imports scipy.sparse.linalg, and both that and
+    # scipy.linalg cost megabytes of memory and tens of milliseconds, which
+    # propagation must not pay.  The block propagator (cavity dim 8) loads
+    # no scipy.sparse at all; the Taylor path (cavity dim 24) loads only it.
     code = (
         "import sys, fockmet\n"
         "from fockmet import DeviceParams, HilbertSpec, LindbladSpec, lindblad_evolve\n"
         "from fockmet.noise import qubit_cavity_parity_setup\n"
         "params = DeviceParams()\n"
-        "rho, h, jumps = qubit_cavity_parity_setup(1, 0.1, params, HilbertSpec(8, 0))\n"
-        "lindblad_evolve(rho, LindbladSpec(h, jumps, duration=params.T_M, dt=params.T_M))\n"
-        "print([m for m in ('scipy.sparse.csgraph', 'scipy.sparse.linalg') if m in sys.modules])"
+        "for dim in (8, 24):\n"
+        "    rho, h, jumps = qubit_cavity_parity_setup(1, 0.1, params, HilbertSpec(dim, 0))\n"
+        "    lindblad_evolve(rho, LindbladSpec(h, jumps, duration=params.T_M, dt=params.T_M))\n"
+        "    names = ('scipy.sparse', 'scipy.sparse.csgraph', 'scipy.sparse.linalg', 'scipy.linalg')\n"
+        "    print([m for m in names if m in sys.modules])"
     )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n")[:2] == ["[]", "['scipy.sparse']"]
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, fockmet; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
@@ -374,17 +395,20 @@ class TestGeneratorMemo:
         assert len(noise._memo) == noise._MEMO_SIZE
 
     def test_mutated_operator_misses(self):
-        # LinearOp freezes the view it is given, not the view's base, so the
-        # same operator object can change content between calls.
+        # LinearOp keeps its own copy, so writing the base of the view it was
+        # given leaves it (and its memo hit) as it was; an operator built on
+        # the changed bytes misses.
         rho, h, jumps, t = _parity_model()
         base = np.array(h.matrix)
         ham = LinearOp(base[:], h.spec)
-        entry = base[-1, -1]
         cold = _cold_outputs(rho, ham, jumps, t)
-        base[-1, -1] = 1.5 * entry
-        assert _noise_outputs(rho, ham, jumps, t) == _cold_outputs(rho, ham, jumps, t) != cold
-        base[-1, -1] = entry
+        base[-1, -1] *= 1.5
         assert _noise_outputs(rho, ham, jumps, t) == cold
+        assert len(noise._memo) == 2
+        changed = LinearOp(base, h.spec)
+        warm = _noise_outputs(rho, changed, jumps, t)
+        assert len(noise._memo) == 4
+        assert warm == _cold_outputs(rho, changed, jumps, t) != cold
 
     def test_setup_returns_a_new_jump_list(self):
         params = _scaled_params(0.1)
@@ -425,6 +449,72 @@ class TestGeneratorMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
         assert len(noise._memo) <= noise._MEMO_SIZE
+
+
+def _taylor_pieces(h, jumps, t):
+    """(op, shift, labels, substeps, eta) of the generator, as the Taylor path builds them."""
+    op, shift, labels = _liouvillian_csr(h, jumps, t)
+    steps = _steps(op)
+    return op, shift, labels, steps, np.exp(shift / steps)
+
+
+def _propagator_entry():
+    """The memo entry that ``lindblad_evolve`` keeps for its one generator."""
+    return next(entry for key, entry in noise._memo if key[0] is noise._propagator)
+
+
+class TestBlockPropagator:
+    @pytest.mark.parametrize("dim", [8, 16, 20])
+    @pytest.mark.parametrize("scale", [0.1, 1.0])
+    def test_matches_taylor_path_and_dense_expm_per_block(self, dim, scale):
+        params = _scaled_params(scale)
+        rho, h, jumps = qubit_cavity_parity_setup(2 if dim == 8 else 4, 0.2, params, HilbertSpec(dim, 0))
+        t = params.T_M
+        op, shift, labels, steps, eta = _taylor_pieces(h.matrix, jumps, t)
+        assert labels.size * np.bincount(labels).max() <= noise.MAX_PROPAGATOR_SIZE
+        vec = rho.matrix.reshape(-1)
+        out = noise._block_propagator(*noise._liouvillian(h.matrix, jumps, t), t)(vec)
+        assert np.max(np.abs(out - _expm_action(op, steps, eta, vec))) <= 1e-14
+        generator = (op + sp.diags(shift)).tocsr()
+        expected = np.zeros_like(vec)
+        for label in np.unique(labels):
+            block = np.flatnonzero(labels == label)
+            expected[block] = expm(generator[block][:, block].toarray()) @ vec[block]
+        assert np.max(np.abs(out - expected)) <= 1e-14
+
+    def test_dense_generator_at_the_ceiling(self):
+        # A dense H makes one block of all n = 256 entries: n * b_max = 2^16.
+        dim = 16
+        n = dim * dim
+        spec = HilbertSpec(dim)
+        h, jumps, rho0 = _random_model(dim)
+        t = 1.0
+        ops = [(LinearOp(l_mat, spec), rate) for l_mat, rate in jumps]
+        noise._memo.clear()
+        out = lindblad_evolve(MixedState(rho0, spec), LindbladSpec(LinearOp(h, spec), ops, duration=t, dt=t))
+        entry = _propagator_entry()
+        assert entry.func is noise._gather_sum
+        rows, cols, vals = entry.args
+        assert vals.size == n * n
+        propagator = np.zeros((n, n), dtype=complex)
+        propagator[rows, cols] = vals
+        generator = _generator_by_columns(h, jumps) * t
+        assert np.max(np.abs(propagator - expm(generator))) <= 1e-14
+        expected = (expm(generator) @ rho0.reshape(-1)).reshape(dim, dim)
+        assert np.max(np.abs(out.matrix - 0.5 * (expected + expected.conj().T))) <= 1e-14
+
+    def test_past_the_ceiling_keeps_the_taylor_path(self):
+        # Cavity dim 21: n = 1,764 and b_max = 42, so n * b_max = 74,088 > 2^16.
+        params = _scaled_params(0.1)
+        rho, h, jumps = qubit_cavity_parity_setup(4, 0.2, params, HilbertSpec(21, 0))
+        t = params.T_M
+        op, _, labels, steps, eta = _taylor_pieces(h.matrix, jumps, t)
+        assert labels.size * np.bincount(labels).max() > noise.MAX_PROPAGATOR_SIZE
+        noise._memo.clear()
+        out = lindblad_evolve(rho, LindbladSpec(h, jumps, duration=t, dt=t))
+        assert _propagator_entry().func is _expm_action
+        state = _expm_action(op, steps, eta, rho.matrix.reshape(-1)).reshape(rho.matrix.shape)
+        assert out.matrix.tobytes() == (0.5 * (state + state.conj().T)).tobytes()
 
 
 class TestUnitaryEvolution:
