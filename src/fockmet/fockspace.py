@@ -159,14 +159,20 @@ class MixedState:
             raise ValueError(f"density matrix not Hermitian: deviation {herm:.2e}")
         if abs(self.trace - 1.0) > TRACE_TOL:
             raise ValueError(f"trace deviates from 1 by {self.trace - 1.0:.2e}")
-        evals = np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2)
+        evals = np.linalg.eigvalsh(self.matrix)  # reads one triangle; hermitian to 1e-10 above
         if evals.min() < EIGENVALUE_FLOOR:
             raise ValueError(f"negative eigenvalue {evals.min():.2e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearOp:
-    """Dense complex operator on the truncated space."""
+    """Dense complex operator on the truncated space.
+
+    The matrix is a read-only copy that the operator owns, so an operator
+    never changes.  It hashes and compares by identity: an operator equals
+    only itself, and one rebuilt with equal contents is another key in the
+    caches of ``fockmet.noise``.
+    """
 
     matrix: np.ndarray
     spec: HilbertSpec

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -27,7 +26,8 @@ class LindbladSpec:
     """Hamiltonian, jump operators with rates, and evolution window.
 
     ``dt`` is validated but no longer sets the accuracy: the propagation is
-    exact to double precision whatever its value.
+    exact to double precision whatever its value.  A jump whose dimension
+    differs from H's raises ValueError.
     """
 
     hamiltonian: LinearOp
@@ -40,40 +40,14 @@ class LindbladSpec:
             raise ValueError("jump rates must be non-negative")
         if self.dt <= 0 or self.dt > self.duration:
             raise ValueError("need 0 < dt <= duration")
+        for op, _ in self.jumps:
+            _check_dim("jump operator", op.spec.dim, self.hamiltonian)
 
 
-# The state-independent work of ``lindblad_evolve`` and
-# ``perturbation_first_order`` as (key, entry) pairs, most recently used last.
-_MEMO_SIZE = 4
-_memo: list[tuple[tuple, object]] = []
-_memo_lock = threading.Lock()
-
-
-def _memoized(build, hamiltonian: np.ndarray, jumps: list[tuple[LinearOp, float]], duration: float):
-    """build(hamiltonian, jumps, duration), kept in the memo and reused.
-
-    The key holds ``build``, the bytes of the duration and the rates, and the
-    dtype, shape and bytes of H and of every jump matrix, so a hit is exact.
-    Two threads that miss on one key both build it, and the equal entries
-    both go in; the surplus one ages out.  An entry whose build raises is
-    never stored.
-    """
-    matrices = (hamiltonian, *(op.matrix for op, _ in jumps))
-    key = (
-        build,
-        np.array([duration, *(rate for _, rate in jumps)], dtype=float).tobytes(),
-        tuple((m.dtype.str, m.shape, m.tobytes()) for m in matrices),
-    )
-    with _memo_lock:
-        for i, (stored, entry) in enumerate(_memo):
-            if stored == key:
-                _memo.append(_memo.pop(i))
-                return entry
-    entry = build(hamiltonian, jumps, duration)
-    with _memo_lock:
-        _memo.append((key, entry))
-        del _memo[:-_MEMO_SIZE]
-    return entry
+def _check_dim(name: str, dim: int, hamiltonian: LinearOp) -> None:
+    """Raise ValueError unless ``dim`` is the dimension of ``hamiltonian``."""
+    if dim != hamiltonian.spec.dim:
+        raise ValueError(f"{name} has dim {dim}, the Hamiltonian has dim {hamiltonian.spec.dim}")
 
 
 def _lindblad_coo(hamiltonian: np.ndarray, jumps: list[tuple[LinearOp, float]]):
@@ -203,15 +177,16 @@ def _substeps(one_norm: float, duration: float) -> int:
     return steps
 
 
-def _propagator(hamiltonian: np.ndarray, jumps: list[tuple[LinearOp, float]], duration: float):
-    """The map vec(rho) -> exp(T L) vec(rho) of ``lindblad_evolve``.
+@functools.lru_cache(maxsize=2)
+def _propagator(hamiltonian: LinearOp, jumps: tuple[tuple[LinearOp, float], ...], duration: float):
+    """The map vec(rho) -> exp(T L) vec(rho) of ``lindblad_evolve``, cached per generator.
 
     ``_block_propagator`` when n * b_max <= MAX_PROPAGATOR_SIZE; else
     ``_expm_action`` on T L - M as CSR, with s = ``_substeps`` and
     eta = exp(shift / s).  Raises SubstepLimitError, before any product,
     when the generator needs more than MAX_SUBSTEPS substeps.
     """
-    coo, shift, labels = _liouvillian(hamiltonian, jumps, duration)
+    coo, shift, labels = _liouvillian(hamiltonian.matrix, jumps, duration)
     n = labels.size
     if n * np.bincount(labels).max() <= MAX_PROPAGATOR_SIZE:
         return _block_propagator(coo, shift, labels, duration)
@@ -330,17 +305,18 @@ def lindblad_evolve(rho: MixedState, spec: LindbladSpec) -> MixedState:
     (N = 100, 400) take ``_expm_action`` on the sparse generator per call.
 
     The propagator depends only on H, the jumps with their rates and the
-    duration.  It is built once and kept in a memo of at most
-    ``_MEMO_SIZE`` entries (shared with ``perturbation_first_order``, least
-    recently used dropped first), keyed on the bytes of the duration, the
-    rates, and the dtype, shape and bytes of H and of every jump matrix; a
-    sweep over states reuses it, and cold and warm calls take the same
-    path.  SubstepLimitError is raised, before any product and without
-    keeping anything, when the generator needs more than MAX_SUBSTEPS
-    substeps.
+    duration.  ``_propagator`` keeps it in a ``functools.lru_cache`` of two
+    entries, keyed on the H and jump ``LinearOp`` objects (which hash by
+    identity), the rates and the duration: a sweep over states that passes
+    the same operators builds it once, and cold and warm calls take the
+    same path.  An operator rebuilt with equal contents misses.
+    SubstepLimitError is raised, before any product and without keeping
+    anything, when the generator needs more than MAX_SUBSTEPS substeps;
+    ValueError when rho and H differ in dimension.
     """
+    _check_dim("rho", rho.spec.dim, spec.hamiltonian)
     dim = rho.spec.dim
-    propagate = _memoized(_propagator, spec.hamiltonian.matrix, spec.jumps, spec.duration)
+    propagate = _propagator(spec.hamiltonian, tuple(spec.jumps), spec.duration)
     state = propagate(rho.matrix.reshape(-1)).reshape(dim, dim)
     out = MixedState(_owned(0.5 * (state + state.conj().T)), rho.spec)
     out.check_physical()
@@ -351,22 +327,24 @@ def unitary_evolution(rho0: MixedState, hamiltonian: LinearOp):
     """Return t -> exp(-iHt) rho0 exp(iHt) using one eigendecomposition of H."""
     evals, vecs = np.linalg.eigh(hamiltonian.matrix)
     rho_eig = vecs.conj().T @ rho0.matrix @ vecs
-
-    def rho_of_t(t: float) -> np.ndarray:
-        phases = np.exp(-1j * evals * t)
-        rotated = (phases[:, None] * rho_eig) * phases.conj()[None, :]
-        return vecs @ rotated @ vecs.conj().T
-
-    return rho_of_t
+    return functools.partial(_rotate, evals, vecs, rho_eig)
 
 
-def _first_order_terms(h: np.ndarray, jumps: list[tuple[LinearOp, float]], T: float):
-    """(evals, vecs, rows, cols, vals, kernel) of ``perturbation_first_order``.
+def _rotate(evals: np.ndarray, vecs: np.ndarray, rho_eig: np.ndarray, t: float) -> np.ndarray:
+    """exp(-iHt) rho exp(iHt) from eigh(H) = (evals, vecs) and rho~ = V^dag rho V."""
+    phases = np.exp(-1j * evals * t)
+    return vecs @ (phases[:, None] * rho_eig * phases.conj()) @ vecs.conj().T
+
+
+@functools.lru_cache(maxsize=2)
+def _first_order_terms(hamiltonian: LinearOp, jumps: tuple[tuple[LinearOp, float], ...], T: float):
+    """(evals, vecs, rows, cols, vals, kernel) of ``perturbation_first_order``, cached per generator.
 
     eigh(H) = (evals, vecs), the COO triplets of the jump generator with the
     jumps rotated into H's eigenbasis, and each triplet's sinc kernel over
     the window T.
     """
+    h = hamiltonian.matrix
     evals, vecs = np.linalg.eigh(h)
     rotated = [(LinearOp(_owned(vecs.conj().T @ op.matrix @ vecs), op.spec), rate) for op, rate in jumps]
     rows, cols, vals = _lindblad_coo(np.zeros_like(h), rotated)
@@ -403,11 +381,11 @@ def perturbation_first_order(
     but ignored.  Warns when any kappa_m * T exceeds 0.3.
 
     eigh(H), the rotated jump generator's triplets and the kernel depend
-    only on H, the jumps with their rates and T.  They are built once and
-    kept in the memo that ``lindblad_evolve`` uses (at most ``_MEMO_SIZE``
-    entries, keyed on the bytes of T, the rates, H and every jump), so each
-    call is left with rho0 in the eigenbasis, the unitary guard, one gather
-    and one sum.
+    only on H, the jumps with their rates and T; ``_first_order_terms``
+    caches them as ``lindblad_evolve`` caches its propagator (an operator
+    rebuilt with equal contents misses).  Each call is left with rho0 in
+    the eigenbasis, the unitary guard, one gather and one sum.  ValueError
+    is raised when a jump or rho0_of_t(0) differs from H in dimension.
     """
     for _, rate in jumps:
         if rate * T > 0.3:
@@ -415,21 +393,22 @@ def perturbation_first_order(
             warnings.warn(message, stacklevel=2)
     if num_points < 5:
         raise ValueError("num_points must be at least 5")
+    for op, _ in jumps:
+        _check_dim("jump operator", op.spec.dim, hamiltonian)
+    rho0 = rho0_of_t(0.0)
+    _check_dim("rho0_of_t(0)", len(rho0), hamiltonian)
 
-    h = hamiltonian.matrix
-    evals, vecs, rows, cols, vals, kernel = _memoized(_first_order_terms, h, jumps, T)
-    rho_eig = vecs.conj().T @ rho0_of_t(0.0) @ vecs
-    phases = np.exp(-1j * evals * T)
-    unitary = vecs @ (phases[:, None] * rho_eig * phases.conj()) @ vecs.conj().T
-    mismatch = float(np.max(np.abs(unitary - rho0_of_t(T))))
+    evals, vecs, rows, cols, vals, kernel = _first_order_terms(hamiltonian, tuple(jumps), T)
+    rho_eig = vecs.conj().T @ rho0 @ vecs
+    mismatch = float(np.max(np.abs(_rotate(evals, vecs, rho_eig, T) - rho0_of_t(T))))
     if mismatch > 1e-9:
         raise ValueError(
             "rho0_of_t is not the unitary evolution under hamiltonian: "
             f"deviation {mismatch:.2e} at T"
         )
     terms = vals * rho_eig.ravel()[cols] * kernel
-    rho1 = _sum_at(rows, terms, h.size)
-    return T * (vecs @ rho1.reshape(h.shape) @ vecs.conj().T)
+    rho1 = _sum_at(rows, terms, vecs.size)
+    return T * (vecs @ rho1.reshape(vecs.shape) @ vecs.conj().T)
 
 
 def parity_prob_noisy(N: int, beta: float, params: DeviceParams) -> float:
@@ -506,7 +485,7 @@ def init_fidelity_model(N: int, params: DeviceParams) -> float:
     return 1.0 - loss
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
+@functools.lru_cache(maxsize=4)
 def _parity_operators(spec: HilbertSpec, T_M: float) -> tuple[LinearOp, ...]:
     """H = (pi / T_M) n |e><e| and the jump operators a, n, sigma_- and |e><e| on qubit x cavity."""
     from .fockspace import ladder_ops
@@ -545,9 +524,12 @@ def qubit_cavity_parity_setup(
     closed-form noisy parity probability.
 
     H and the four jump operators depend only on ``spec`` and ``params.T_M``;
-    they are built once per pair (an LRU cache of at most ``_MEMO_SIZE``)
-    and shared, which is safe because a ``LinearOp``'s matrix is read-only.
-    The jump list, with the rates of ``params``, is new on every call.
+    they are built once per pair (an LRU cache of at most four pairs) and
+    shared, which is safe because a ``LinearOp``'s matrix is read-only.
+    Every call with one pair returns the same operator objects, so the
+    caches of ``lindblad_evolve`` and ``perturbation_first_order``, keyed
+    on those objects, hit across a sweep of beta or N at fixed rates.  The
+    jump list, with the rates of ``params``, is new on every call.
     """
     from .fockspace import displacement, fock_state
 

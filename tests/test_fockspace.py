@@ -149,6 +149,13 @@ class TestOwnership:
         base[0, 0] = 1.0
         assert not np.any(op.matrix)
 
+    def test_op_hashes_and_compares_by_identity(self):
+        spec = HilbertSpec(2)
+        op, twin = LinearOp(np.eye(2), spec), LinearOp(np.eye(2), spec)
+        assert op == op and op != twin
+        assert hash(op) == hash(op)
+        assert len({op, twin, op}) == 2
+
     def test_built_results_are_frozen(self):
         spec = HilbertSpec(6)
         lower, upper = ladder_ops(spec)

@@ -297,6 +297,21 @@ class TestLindbladEvolve:
         with pytest.raises(ValueError):
             LindbladSpec(zero_h, [(lower, 1.0)], duration=1.0, dt=0.0)
 
+    def test_rejects_jumps_of_another_dim(self):
+        h = LinearOp(np.zeros((16, 16)), HilbertSpec(16))
+        lower, _ = ladder_ops(HilbertSpec(32))
+        with pytest.raises(ValueError, match=r"^jump operator has dim 32, the Hamiltonian has dim 16$"):
+            LindbladSpec(h, [(lower, 1.0)], duration=1.0, dt=0.1)
+
+    @pytest.mark.parametrize("rho_dim, h_dim", [(32, 16), (16, 32)])
+    def test_rejects_state_of_another_dim(self, rho_dim, h_dim):
+        h_spec = HilbertSpec(h_dim)
+        lower, _ = ladder_ops(h_spec)
+        spec = LindbladSpec(LinearOp(np.zeros((h_dim, h_dim)), h_spec), [(lower, 1.0)], duration=1.0, dt=0.1)
+        rho = fock_state(1, HilbertSpec(rho_dim)).to_mixed()
+        with pytest.raises(ValueError, match=rf"^rho has dim {rho_dim}, the Hamiltonian has dim {h_dim}$"):
+            lindblad_evolve(rho, spec)
+
 
 def test_propagation_loads_no_sparse_linalg():
     # scipy.sparse.csgraph imports scipy.sparse.linalg, and both that and
@@ -330,12 +345,12 @@ def test_duration_in_seconds_raises_before_any_product():
     # T = 1 s where the rates expect T_M = 1.6 us: 298,586 substeps.
     params = DeviceParams()
     rho, h, jumps = qubit_cavity_parity_setup(1, 0.1, params, HilbertSpec(4, 0))
-    noise._memo.clear()
+    _clear_caches()
     start = time.perf_counter()
     with pytest.raises(SubstepLimitError, match=r"duration 1 gives \|\|T L\|\|_1 = 2\.9"):
         lindblad_evolve(rho, LindbladSpec(h, jumps, duration=1.0, dt=1.0))
     assert time.perf_counter() - start < 1.0
-    assert noise._memo == []
+    assert _cached() == 0
 
 
 def _parity_model(beta=0.2, scale=0.1, dim=8):
@@ -352,9 +367,30 @@ def _noise_outputs(rho, h, jumps, t):
     return evolved.matrix.tobytes(), rho1.tobytes()
 
 
+_CACHES = (noise._propagator, noise._first_order_terms)
+
+
+def _clear_caches():
+    for cache in _CACHES:
+        cache.cache_clear()
+
+
+def _cached() -> int:
+    """Entries held by the generator caches of ``lindblad_evolve`` and ``perturbation_first_order``."""
+    return sum(cache.cache_info().currsize for cache in _CACHES)
+
+
 def _cold_outputs(*model):
-    noise._memo.clear()
+    _clear_caches()
     return _noise_outputs(*model)
+
+
+def _counted_outputs(*model):
+    """``_noise_outputs`` and the (hits, misses) that each generator cache gained in it."""
+    before = [cache.cache_info() for cache in _CACHES]
+    out = _noise_outputs(*model)
+    after = [cache.cache_info() for cache in _CACHES]
+    return out, [(a.hits - b.hits, a.misses - b.misses) for a, b in zip(after, before)]
 
 
 class TestGeneratorMemo:
@@ -362,10 +398,10 @@ class TestGeneratorMemo:
     def test_warm_call_is_bitwise_the_cold_call(self, beta):
         model = _parity_model(beta)
         cold = _cold_outputs(*model)
-        assert len(noise._memo) == 2
+        assert _cached() == 2
         _noise_outputs(*_parity_model(0.5 * beta))  # same generator, another state
         assert _noise_outputs(*model) == cold
-        assert len(noise._memo) == 2
+        assert _cached() == 2
 
     @pytest.mark.parametrize("change", ["rate", "hamiltonian-entry", "jump-matrix", "duration"])
     def test_changed_generator_misses(self, change):
@@ -382,21 +418,21 @@ class TestGeneratorMemo:
         else:
             t = 0.9 * t
         cold = _cold_outputs(rho, h, jumps, t)
-        noise._memo.clear()
+        _clear_caches()
         base = _noise_outputs(*_parity_model())
         assert _noise_outputs(rho, h, jumps, t) == cold != base
-        assert len(noise._memo) == 4
+        assert _cached() == 4
 
     def test_memo_is_bounded(self):
-        noise._memo.clear()
+        _clear_caches()
         for k in range(20):
             _noise_outputs(*_parity_model(scale=0.1 * (1 + k / 20)))
-            assert len(noise._memo) <= noise._MEMO_SIZE
-        assert len(noise._memo) == noise._MEMO_SIZE
+            assert _cached() <= 4
+        assert [(cache.cache_info().maxsize, cache.cache_info().currsize) for cache in _CACHES] == [(2, 2), (2, 2)]
 
     def test_mutated_operator_misses(self):
         # LinearOp keeps its own copy, so writing the base of the view it was
-        # given leaves it (and its memo hit) as it was; an operator built on
+        # given leaves it (and its cache hit) as it was; an operator built on
         # the changed bytes misses.
         rho, h, jumps, t = _parity_model()
         base = np.array(h.matrix)
@@ -404,11 +440,24 @@ class TestGeneratorMemo:
         cold = _cold_outputs(rho, ham, jumps, t)
         base[-1, -1] *= 1.5
         assert _noise_outputs(rho, ham, jumps, t) == cold
-        assert len(noise._memo) == 2
+        assert _cached() == 2
         changed = LinearOp(base, h.spec)
         warm = _noise_outputs(rho, changed, jumps, t)
-        assert len(noise._memo) == 4
+        assert _cached() == 4
         assert warm == _cold_outputs(rho, changed, jumps, t) != cold
+
+    def test_same_operators_hit(self):
+        _cold_outputs(*_parity_model())
+        # The setup hands out the same operator objects for another beta.
+        assert _counted_outputs(*_parity_model(0.1))[1] == [(1, 0), (1, 0)]
+
+    def test_rebuilt_operator_with_equal_contents_misses(self):
+        # An operator keys the caches by identity: a copy with the same
+        # matrix is a new generator, built again to the same bytes.
+        rho, h, jumps, t = _parity_model()
+        cold = _cold_outputs(rho, h, jumps, t)
+        rebuilt = LinearOp(h.matrix, h.spec)
+        assert _counted_outputs(rho, rebuilt, jumps, t) == (cold, [(0, 1), (0, 1)])
 
     def test_setup_returns_a_new_jump_list(self):
         params = _scaled_params(0.1)
@@ -420,11 +469,11 @@ class TestGeneratorMemo:
         assert [rate for _, rate in again] == [params.kappa1, params.kappa2, params.kappa3, params.kappa4]
 
     def test_concurrent_calls_match_cold_calls(self):
-        # Three generators in turn over four threads keep the memo missing,
+        # Three generators in turn over four threads keep the caches missing,
         # evicting and hitting.
         models = [_parity_model(0.1 + 0.05 * k, scale=0.05 * (k + 1)) for k in range(3)]
         cold = [_cold_outputs(*model) for model in models]
-        noise._memo.clear()
+        _clear_caches()
         failures = []
 
         def worker(offset):
@@ -448,7 +497,7 @@ class TestGeneratorMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
-        assert len(noise._memo) <= noise._MEMO_SIZE
+        assert _cached() <= 4
 
 
 def _taylor_pieces(h, jumps, t):
@@ -458,9 +507,12 @@ def _taylor_pieces(h, jumps, t):
     return op, shift, labels, steps, np.exp(shift / steps)
 
 
-def _propagator_entry():
-    """The memo entry that ``lindblad_evolve`` keeps for its one generator."""
-    return next(entry for key, entry in noise._memo if key[0] is noise._propagator)
+def _propagator_entry(h, jumps, t):
+    """The cache entry that ``lindblad_evolve`` keeps for the generator of (h, jumps, t)."""
+    hits = noise._propagator.cache_info().hits
+    entry = noise._propagator(h, tuple(jumps), t)
+    assert noise._propagator.cache_info().hits == hits + 1
+    return entry
 
 
 class TestBlockPropagator:
@@ -489,10 +541,11 @@ class TestBlockPropagator:
         spec = HilbertSpec(dim)
         h, jumps, rho0 = _random_model(dim)
         t = 1.0
+        ham = LinearOp(h, spec)
         ops = [(LinearOp(l_mat, spec), rate) for l_mat, rate in jumps]
-        noise._memo.clear()
-        out = lindblad_evolve(MixedState(rho0, spec), LindbladSpec(LinearOp(h, spec), ops, duration=t, dt=t))
-        entry = _propagator_entry()
+        _clear_caches()
+        out = lindblad_evolve(MixedState(rho0, spec), LindbladSpec(ham, ops, duration=t, dt=t))
+        entry = _propagator_entry(ham, ops, t)
         assert entry.func is noise._gather_sum
         rows, cols, vals = entry.args
         assert vals.size == n * n
@@ -510,9 +563,9 @@ class TestBlockPropagator:
         t = params.T_M
         op, _, labels, steps, eta = _taylor_pieces(h.matrix, jumps, t)
         assert labels.size * np.bincount(labels).max() > noise.MAX_PROPAGATOR_SIZE
-        noise._memo.clear()
+        _clear_caches()
         out = lindblad_evolve(rho, LindbladSpec(h, jumps, duration=t, dt=t))
-        assert _propagator_entry().func is _expm_action
+        assert _propagator_entry(h, jumps, t).func is _expm_action
         state = _expm_action(op, steps, eta, rho.matrix.reshape(-1)).reshape(rho.matrix.shape)
         assert out.matrix.tobytes() == (0.5 * (state + state.conj().T)).tobytes()
 
@@ -594,6 +647,15 @@ class TestPerturbationFirstOrder:
         doubled = LinearOp(2.0 * h.matrix, h.spec)
         with pytest.raises(ValueError, match="unitary evolution"):
             perturbation_first_order(rho0_of_t, doubled, jumps, params.T_M)
+
+    def test_rejects_operators_of_another_dim(self):
+        params = DeviceParams()
+        rho, h, jumps = qubit_cavity_parity_setup(1, 0.1, params, HilbertSpec(8, 0))
+        wide_rho, wide_h, wide_jumps = qubit_cavity_parity_setup(1, 0.1, params, HilbertSpec(16, 0))
+        with pytest.raises(ValueError, match=r"^jump operator has dim 32, the Hamiltonian has dim 16$"):
+            perturbation_first_order(unitary_evolution(rho, h), h, wide_jumps, params.T_M)
+        with pytest.raises(ValueError, match=r"^rho0_of_t\(0\) has dim 32, the Hamiltonian has dim 16$"):
+            perturbation_first_order(unitary_evolution(wide_rho, wide_h), h, jumps, params.T_M)
 
     def test_warns_outside_validity(self):
         spec = HilbertSpec(4, 0)
