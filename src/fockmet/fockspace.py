@@ -153,15 +153,29 @@ class MixedState:
         return np.real(np.diag(self.matrix)).copy()
 
     def check_physical(self) -> None:
-        """Raise if the state violates hermiticity, trace or positivity bounds."""
+        """Raise ValueError if the state is not finite, or violates hermiticity, trace or positivity bounds.
+
+        Positivity is one Cholesky factorisation of rho - EIGENVALUE_FLOOR * I.
+        Only when that fails does ``eigvalsh`` run, and its smallest eigenvalue
+        alone decides and is named, so every rejection is eigvalsh's verdict.
+        A state is accepted differently from an eigvalsh-only check only when
+        its smallest eigenvalue lies within rounding (about n u ||rho||, 1e-14
+        here) of the floor.  Both read one triangle; hermiticity is checked to
+        1e-10 just above.
+        """
+        if not np.isfinite(self.matrix).all():
+            raise ValueError("density matrix has non-finite entries")
         herm = np.max(np.abs(self.matrix - self.matrix.conj().T))
         if herm > HERMITICITY_TOL:
             raise ValueError(f"density matrix not Hermitian: deviation {herm:.2e}")
         if abs(self.trace - 1.0) > TRACE_TOL:
             raise ValueError(f"trace deviates from 1 by {self.trace - 1.0:.2e}")
-        evals = np.linalg.eigvalsh(self.matrix)  # reads one triangle; hermitian to 1e-10 above
-        if evals.min() < EIGENVALUE_FLOOR:
-            raise ValueError(f"negative eigenvalue {evals.min():.2e}")
+        try:
+            np.linalg.cholesky(self.matrix - EIGENVALUE_FLOOR * np.eye(self.spec.dim))
+        except np.linalg.LinAlgError:
+            low = np.linalg.eigvalsh(self.matrix).min()
+            if low < EIGENVALUE_FLOOR:
+                raise ValueError(f"negative eigenvalue {low:.2e}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,36 +265,49 @@ def coherent_state(alpha: complex, spec: HilbertSpec) -> PureState:
     return PureState.normalized(amp, spec)
 
 
-def displacement(beta: complex, spec: HilbertSpec, check_interior: bool = False) -> LinearOp:
-    """Displacement operator from the Cahill-Glauber closed form.
+def _displacement_diagonals(beta: complex, dim: int):
+    """Yield g_n = <n+k|D(beta)|n> for k < dim - n, for n = 0, 1, ..., dim - 1.
 
-    Below the diagonal, <n+k|D(beta)|n> = sqrt(n!/(n+k)!) beta^k e^{-|beta|^2/2}
-    L_n^(k)(|beta|^2).  One three-term Laguerre recurrence in n, on the
-    normalised g_n = sqrt(n!/(n+k)!) L_n^(k), runs on every diagonal k at
-    once from the displaced vacuum <k|D|0>; the upper triangle follows from
-    D(beta)^dag = D(-beta).  Its rounding error grows polynomially in n at
-    small |beta| (interior defect ~5e-12 at dim 540).  Unitary on the
-    interior block when the guard band absorbs the displacement leakage;
-    with ``check_interior=True`` the interior unitarity defect is measured
-    and an InteriorAccuracyError is raised above 1e-8.
+    The three-term Laguerre recurrence in n on the normalised
+    g_n = sqrt(n!/(n+k)!) L_n^(k) of ``displacement``, run on every diagonal
+    k at once from the displaced vacuum <k|D|0>.  Step n costs O(dim - n).
+    Raises InteriorAccuracyError for |beta|^2 > dim / 4 on the first step.
     """
-    beta = complex(beta)
-    dim = spec.dim
     x = abs(beta) ** 2
     if x > 0.25 * dim:
         raise InteriorAccuracyError(f"|beta|^2 = {x:.3g} too large for dim {dim}")
     k = np.arange(dim)
-    sign = (-1.0) ** k
-    mat = np.empty((dim, dim), dtype=complex)
     # g and prev hold <n+k|D|n> and <n-1+k|D|n-1> for k < dim - n.
     g, prev = _coherent_series(beta, dim), np.zeros(dim, dtype=complex)
     for n in range(dim):
-        mat[n:, n] = g
-        mat[n, n:] = sign[: dim - n] * g.conj()  # <n|D|n+k> = (-1)^k conj(<n+k|D|n>)
+        yield g
         kk = k[: dim - n - 1]
         g, prev = (
             (2 * n + 1 + kk - x) * g[:-1] - np.sqrt(n * (n + kk)) * prev[:-1]
         ) / np.sqrt((n + 1) * (n + 1 + kk)), g[:-1]
+
+
+def displacement(beta: complex, spec: HilbertSpec, check_interior: bool = False) -> LinearOp:
+    """Displacement operator from the Cahill-Glauber closed form.
+
+    Below the diagonal, <n+k|D(beta)|n> = sqrt(n!/(n+k)!) beta^k e^{-|beta|^2/2}
+    L_n^(k)(|beta|^2), from all ``dim`` steps of ``_displacement_diagonals``;
+    the upper triangle follows from D(beta)^dag = D(-beta).  Its rounding
+    error grows polynomially in n at small |beta| (interior defect ~5e-12
+    at dim 540).  Raises InteriorAccuracyError for |beta|^2 > dim / 4.
+    Unitary on the interior block when the guard band absorbs the
+    displacement leakage; with ``check_interior=True`` the interior
+    unitarity defect is measured and an InteriorAccuracyError is raised
+    above 1e-8.  One state D(beta)|n> needs only column n, which
+    ``_displaced_fock`` takes from the first n + 1 steps.
+    """
+    beta = complex(beta)
+    dim = spec.dim
+    sign = (-1.0) ** np.arange(dim)
+    mat = np.empty((dim, dim), dtype=complex)
+    for n, g in enumerate(_displacement_diagonals(beta, dim)):
+        mat[n:, n] = g
+        mat[n, n:] = sign[: dim - n] * g.conj()  # <n|D|n+k> = (-1)^k conj(<n+k|D|n>)
     op = LinearOp(_owned(mat), spec)
     if check_interior and spec.guard > 0:
         defect = op.interior_unitarity_defect()
@@ -290,6 +317,31 @@ def displacement(beta: complex, spec: HilbertSpec, check_interior: bool = False)
                 f"interior unitarity defect {defect:.2e}"
             )
     return op
+
+
+def _displaced_fock(beta: complex, n: int, spec: HilbertSpec) -> np.ndarray:
+    """D(beta)|n>, column n of ``displacement(beta, spec)``, from n + 1 steps of its recurrence.
+
+    Rows m > n are step n itself; row m <= n is <m|D|n> = (-1)^(n-m)
+    conj(<n|D|m>), read from step m, as ``displacement`` writes its upper
+    triangle and diagonal.  Equal in value to
+    ``displacement(beta, spec).apply(fock_state(n, spec))`` (bytes may
+    differ in the sign of a zero), with the same errors in the same order:
+    InteriorAccuracyError for |beta|^2 > dim / 4, then ValueError for n
+    outside [0, dim).
+    """
+    dim = spec.dim
+    diagonals = _displacement_diagonals(complex(beta), dim)
+    g = next(diagonals)
+    if not 0 <= n < dim:
+        raise ValueError(f"Fock index {n} outside [0, {dim})")
+    col = np.empty(dim, dtype=complex)
+    for m in range(n):
+        col[m] = (-1.0) ** (n - m) * g[n - m].conjugate()
+        g = next(diagonals)
+    col[n:] = g
+    col[n] = g[0].conjugate()
+    return col
 
 
 def displaced_state(beta: complex, state: PureState) -> PureState:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .composite import DeviceParams
 from .errors import ModelBreakdownError, SubstepLimitError
-from .fockspace import HilbertSpec, LinearOp, MixedState, _owned
+from .fockspace import HilbertSpec, LinearOp, MixedState, _displaced_fock, _owned
 from .metrology import gain_db_from_precision, parity_shape, sql_baselines
 
 
@@ -27,15 +27,18 @@ class LindbladSpec:
 
     ``dt`` is validated but no longer sets the accuracy: the propagation is
     exact to double precision whatever its value.  A jump whose dimension
-    differs from H's raises ValueError.
+    differs from H's raises ValueError.  ``jumps`` is kept as a tuple copy of
+    the sequence given, so a later change to the caller's list cannot reach
+    a validated spec.
     """
 
     hamiltonian: LinearOp
-    jumps: list[tuple[LinearOp, float]]
+    jumps: tuple[tuple[LinearOp, float], ...]
     duration: float
     dt: float
 
     def __post_init__(self):
+        object.__setattr__(self, "jumps", tuple(self.jumps))
         if any(rate < 0 for _, rate in self.jumps):
             raise ValueError("jump rates must be non-negative")
         if self.dt <= 0 or self.dt > self.duration:
@@ -77,9 +80,19 @@ def _lindblad_coo(hamiltonian: np.ndarray, jumps: list[tuple[LinearOp, float]]):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-def _sum_at(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Complex values summed into n bins by index."""
-    return np.bincount(index, values.real, n) + 1j * np.bincount(index, values.imag, n)
+def _pair_index(index: np.ndarray) -> np.ndarray:
+    """The float-view positions (2i, 2i + 1) of the complex entries at ``index``, interleaved."""
+    return (2 * index[:, None] + np.arange(2)).ravel()
+
+
+def _sum_at(pairs: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Complex ``values`` summed into n bins, ``pairs`` being ``_pair_index`` of their bins.
+
+    One ``bincount`` over the float view of the values: each bin sums its
+    real and imaginary parts in input order, as two ``bincount`` calls on
+    the parts would, so the result is the same to the bit.
+    """
+    return np.bincount(pairs, values.view(float), 2 * n).view(complex)
 
 
 def _block_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
@@ -122,10 +135,10 @@ def _liouvillian(hamiltonian: np.ndarray, jumps: list[tuple[LinearOp, float]], d
     vals *= duration
     n = hamiltonian.shape[0] ** 2
     on_diag = rows == cols
-    diag = _sum_at(rows[on_diag], vals[on_diag], n)
+    diag = _sum_at(_pair_index(rows[on_diag]), vals[on_diag], n)
     rows, cols, vals = rows[~on_diag], cols[~on_diag], vals[~on_diag]
     labels = _block_labels(rows, cols, n)
-    shift = _sum_at(labels, diag, n)[labels] / np.bincount(labels, minlength=n)[labels]
+    shift = _sum_at(_pair_index(labels), diag, n)[labels] / np.bincount(labels, minlength=n)[labels]
     index = np.arange(n)
     coo = np.concatenate([rows, index]), np.concatenate([cols, index]), np.concatenate([vals, diag - shift])
     return coo, shift, labels
@@ -203,8 +216,9 @@ def _block_propagator(coo, shift: np.ndarray, labels: np.ndarray, duration: floa
     of one size form an m x b x b stack, which one ``_expm_action`` run
     exponentiates with batched matmuls, each block's eta being the scalar
     exp(M / s) on it.  The map is then one gather and one ``_sum_at`` over
-    the nonzeros of exp(T L).  Numpy only: scipy.sparse would cost about
-    1.4 MB of resident memory in a process that does not load it already.
+    the nonzeros of exp(T L), whose pair index is built here once.  Numpy
+    only: scipy.sparse would cost about 1.4 MB of resident memory in a
+    process that does not load it already.
     """
     rows, cols, vals = coo
     n = labels.size
@@ -216,7 +230,8 @@ def _block_propagator(coo, shift: np.ndarray, labels: np.ndarray, duration: floa
     rank, offset = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
     rank[members] = np.arange(n) - np.repeat(starts, size)
     offset[members] = np.repeat(offsets, size)
-    flat = _sum_at(offset[rows] + rank[rows] * sizes[labels[rows]] + rank[cols], vals, offsets[-1] + size[-1] ** 2)
+    at = offset[rows] + rank[rows] * sizes[labels[rows]] + rank[cols]
+    flat = _sum_at(_pair_index(at), vals, offsets[-1] + size[-1] ** 2)
     stacks = []
     for b in np.unique(size):
         same = np.flatnonzero(size == b)  # consecutive blocks
@@ -231,12 +246,13 @@ def _block_propagator(coo, shift: np.ndarray, labels: np.ndarray, duration: floa
         keep = block != 0
         entries.append((np.broadcast_to(index[:, :, None], block.shape)[keep],
                         np.broadcast_to(index[:, None, :], block.shape)[keep], block[keep]))
-    return functools.partial(_gather_sum, *map(np.concatenate, zip(*entries)))
+    rows, cols, vals = map(np.concatenate, zip(*entries))
+    return functools.partial(_gather_sum, _pair_index(rows), cols, vals)
 
 
-def _gather_sum(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """A @ vec for A given by the COO triplets (rows, cols, vals)."""
-    return _sum_at(rows, vals * vec[cols], vec.size)
+def _gather_sum(pairs: np.ndarray, cols: np.ndarray, vals: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """A @ vec for A given by the COO triplets (rows, cols, vals), with pairs = ``_pair_index(rows)``."""
+    return _sum_at(pairs, vals * vec[cols], vec.size)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -298,9 +314,11 @@ def lindblad_evolve(rho: MixedState, spec: LindbladSpec) -> MixedState:
     entries of vec(rho), b_max the largest invariant block; cavity dim
     <= 20 in ``qubit_cavity_parity_setup``, dim <= 16 for a dense
     generator), exp(T L) itself is built once, block by block
-    (``_block_propagator``), and every call is one gather and one sum over
-    its nonzeros: 0.14 ms instead of 2.2 ms per call at the working point
-    above (one BLAS thread), after a build of about 30 ms.  Its outputs
+    (``_block_propagator``), and every call is one gather and one
+    ``bincount`` over its nonzeros: about 0.08 ms instead of 2.2 ms per
+    call at the working point above (one BLAS thread), of which the
+    product takes about 40 us and the positivity check of the result
+    about 30 us, after a build of about 30 ms.  Its outputs
     differ from a per-state Taylor run by about 1e-15.  Larger generators
     (N = 100, 400) take ``_expm_action`` on the sparse generator per call.
 
@@ -316,16 +334,31 @@ def lindblad_evolve(rho: MixedState, spec: LindbladSpec) -> MixedState:
     """
     _check_dim("rho", rho.spec.dim, spec.hamiltonian)
     dim = rho.spec.dim
-    propagate = _propagator(spec.hamiltonian, tuple(spec.jumps), spec.duration)
+    propagate = _propagator(spec.hamiltonian, spec.jumps, spec.duration)
     state = propagate(rho.matrix.reshape(-1)).reshape(dim, dim)
     out = MixedState(_owned(0.5 * (state + state.conj().T)), rho.spec)
     out.check_physical()
     return out
 
 
-def unitary_evolution(rho0: MixedState, hamiltonian: LinearOp):
-    """Return t -> exp(-iHt) rho0 exp(iHt) using one eigendecomposition of H."""
+@functools.lru_cache(maxsize=2)
+def _eigh(hamiltonian: LinearOp) -> tuple[np.ndarray, np.ndarray]:
+    """eigh(H) as read-only (evals, vecs), cached per operator like ``_propagator``."""
     evals, vecs = np.linalg.eigh(hamiltonian.matrix)
+    evals.flags.writeable = False
+    vecs.flags.writeable = False
+    return evals, vecs
+
+
+def unitary_evolution(rho0: MixedState, hamiltonian: LinearOp):
+    """Return t -> exp(-iHt) rho0 exp(iHt) from eigh(H).
+
+    eigh(H) comes from ``_eigh``, a ``functools.lru_cache`` of two entries
+    keyed on the ``LinearOp`` (by identity), which ``perturbation_first_order``
+    shares: a sweep of states under one H decomposes it once.  Each call is
+    left with rho0 in the eigenbasis.
+    """
+    evals, vecs = _eigh(hamiltonian)
     rho_eig = vecs.conj().T @ rho0.matrix @ vecs
     return functools.partial(_rotate, evals, vecs, rho_eig)
 
@@ -338,20 +371,20 @@ def _rotate(evals: np.ndarray, vecs: np.ndarray, rho_eig: np.ndarray, t: float) 
 
 @functools.lru_cache(maxsize=2)
 def _first_order_terms(hamiltonian: LinearOp, jumps: tuple[tuple[LinearOp, float], ...], T: float):
-    """(evals, vecs, rows, cols, vals, kernel) of ``perturbation_first_order``, cached per generator.
+    """(evals, vecs, pairs, cols, vals, kernel) of ``perturbation_first_order``, cached per generator.
 
-    eigh(H) = (evals, vecs), the COO triplets of the jump generator with the
-    jumps rotated into H's eigenbasis, and each triplet's sinc kernel over
-    the window T.
+    eigh(H) = (evals, vecs) from ``_eigh``, the COO triplets of the jump
+    generator with the jumps rotated into H's eigenbasis (their rows as
+    ``_pair_index`` pairs), and each triplet's sinc kernel over the window T.
     """
     h = hamiltonian.matrix
-    evals, vecs = np.linalg.eigh(h)
+    evals, vecs = _eigh(hamiltonian)
     rotated = [(LinearOp(_owned(vecs.conj().T @ op.matrix @ vecs), op.spec), rate) for op, rate in jumps]
     rows, cols, vals = _lindblad_coo(np.zeros_like(h), rotated)
     omega = (evals[:, None] - evals[None, :]).ravel() * T
     x = omega[rows] - omega[cols]
     kernel = np.exp(0.5j * x - 1j * omega[rows]) * np.sinc(x / (2 * np.pi))
-    return evals, vecs, rows, cols, vals, kernel
+    return evals, vecs, _pair_index(rows), cols, vals, kernel
 
 
 def perturbation_first_order(
@@ -398,7 +431,7 @@ def perturbation_first_order(
     rho0 = rho0_of_t(0.0)
     _check_dim("rho0_of_t(0)", len(rho0), hamiltonian)
 
-    evals, vecs, rows, cols, vals, kernel = _first_order_terms(hamiltonian, tuple(jumps), T)
+    evals, vecs, pairs, cols, vals, kernel = _first_order_terms(hamiltonian, tuple(jumps), T)
     rho_eig = vecs.conj().T @ rho0 @ vecs
     mismatch = float(np.max(np.abs(_rotate(evals, vecs, rho_eig, T) - rho0_of_t(T))))
     if mismatch > 1e-9:
@@ -407,7 +440,7 @@ def perturbation_first_order(
             f"deviation {mismatch:.2e} at T"
         )
     terms = vals * rho_eig.ravel()[cols] * kernel
-    rho1 = _sum_at(rows, terms, vecs.size)
+    rho1 = _sum_at(pairs, terms, vecs.size)
     return T * (vecs @ rho1.reshape(vecs.shape) @ vecs.conj().T)
 
 
@@ -531,12 +564,9 @@ def qubit_cavity_parity_setup(
     on those objects, hit across a sweep of beta or N at fixed rates.  The
     jump list, with the rates of ``params``, is new on every call.
     """
-    from .fockspace import displacement, fock_state
-
     hamiltonian, *ops = _parity_operators(spec, params.T_M)
-    cav = displacement(beta, spec).apply(fock_state(N, spec))
-    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    psi = np.kron(plus, cav)
+    half = _displaced_fock(beta, N, spec) * (1.0 / math.sqrt(2.0))
+    psi = np.concatenate((half, half))  # |+> kron D(beta)|N>
     rho = MixedState(_owned(np.outer(psi, psi.conj())), hamiltonian.spec)
     rates = (params.kappa1, params.kappa2, params.kappa3, params.kappa4)
     return rho, hamiltonian, list(zip(ops, rates))

@@ -27,7 +27,7 @@ from fockmet import (
     qfi_pure,
     wigner_value,
 )
-from fockmet.fockspace import displaced_state
+from fockmet.fockspace import EIGENVALUE_FLOOR, _displaced_fock, displaced_state
 
 
 def _column_defect(mat: np.ndarray, cols: int) -> float:
@@ -100,6 +100,32 @@ class TestStates:
             MixedState(bad, spec).check_physical()
         with pytest.raises(ValueError):
             MixedState(2.0 * np.eye(4) / 4.0 * 3.0, spec).check_physical()
+
+    @pytest.mark.parametrize("matrix", [np.diag([np.nan, 1.0, 0.0, 0.0]), np.full((4, 4), np.nan), np.diag([np.inf, 1.0, 0.0, 0.0])])
+    def test_check_physical_rejects_non_finite(self, matrix):
+        with pytest.raises(ValueError, match="non-finite"):
+            MixedState(matrix, HilbertSpec(4)).check_physical()
+
+    def test_check_physical_rejects_below_the_floor_by_eigvalsh(self):
+        # The Cholesky factorisation of rho + 1e-8 I fails, and eigvalsh names the eigenvalue.
+        state = MixedState(np.diag([1.0 + 2e-8, -2e-8, 0.0, 0.0]), HilbertSpec(4))
+        with pytest.raises(ValueError, match=r"^negative eigenvalue -2\.00e-08$"):
+            state.check_physical()
+
+    @pytest.mark.parametrize("kind", ["inside-the-floor", "pure-dim-540"])
+    def test_check_physical_accepts_by_cholesky_alone(self, kind, monkeypatch):
+        if kind == "inside-the-floor":
+            state = MixedState(np.diag([1.0 + 0.5e-8, -0.5e-8, 0.0, 0.0]), HilbertSpec(4))
+        else:
+            rng = np.random.default_rng(3)
+            amp = rng.normal(size=540) + 1j * rng.normal(size=540)
+            state = PureState.normalized(amp, HilbertSpec(540)).to_mixed()
+
+        def no_eigvalsh(_):
+            raise AssertionError("eigvalsh ran on an accepted state")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        state.check_physical()
 
 
 class TestOperators:
@@ -234,6 +260,25 @@ class TestDisplacement:
         mat = displacement(beta, HilbertSpec(1000)).matrix
         assert np.all(np.isfinite(mat))
         assert _column_defect(mat, 60) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [8, 16, 24, 172, 540])
+    @pytest.mark.parametrize("beta", [0, 0.05, 0.2, 0.5 + 0.3j, -1.1j, "sqrt(0.2 dim)"])
+    def test_displaced_fock_is_a_column_of_displacement(self, dim, beta):
+        if beta == "sqrt(0.2 dim)":
+            beta = math.sqrt(0.2 * dim)
+        spec = HilbertSpec(dim)
+        mat = displacement(beta, spec).matrix
+        for n in sorted({0, 1, 4, dim // 2, dim - 1}):
+            assert np.all(_displaced_fock(beta, n, spec) == mat[:, n])
+
+    def test_displaced_fock_raises_as_displacement_does(self):
+        spec = HilbertSpec(32)
+        for beta, n, error in [(5.0, 3, InteriorAccuracyError), (0.2, 32, ValueError), (0.2, -1, ValueError),
+                               (5.0, 32, InteriorAccuracyError)]:
+            with pytest.raises(error):
+                displacement(beta, spec).apply(fock_state(n, spec))
+            with pytest.raises(error):
+                _displaced_fock(beta, n, spec)
 
     @pytest.mark.parametrize("N", [50, 100])
     def test_displaced_fock_phase_qfi(self, N):

@@ -23,6 +23,7 @@ from fockmet import (
     SubstepLimitError,
     coherent_state,
     default_spec,
+    displacement,
     displacement_dephasing_bias,
     fock_state,
     init_fidelity_model,
@@ -303,6 +304,16 @@ class TestLindbladEvolve:
         with pytest.raises(ValueError, match=r"^jump operator has dim 32, the Hamiltonian has dim 16$"):
             LindbladSpec(h, [(lower, 1.0)], duration=1.0, dt=0.1)
 
+    def test_spec_keeps_its_own_jumps(self):
+        # A rate made negative in the caller's list after validation must not reach the propagator.
+        space = HilbertSpec(8)
+        lower, _ = ladder_ops(space)
+        jumps = [(lower, 1.0)]
+        spec = LindbladSpec(LinearOp(np.zeros((8, 8)), space), jumps, duration=1.0, dt=0.1)
+        jumps.append((lower, -50_000.0))
+        jumps[0] = (lower, 2.0)
+        assert spec.jumps == ((lower, 1.0),)
+
     @pytest.mark.parametrize("rho_dim, h_dim", [(32, 16), (16, 32)])
     def test_rejects_state_of_another_dim(self, rho_dim, h_dim):
         h_spec = HilbertSpec(h_dim)
@@ -371,7 +382,7 @@ _CACHES = (noise._propagator, noise._first_order_terms)
 
 
 def _clear_caches():
-    for cache in _CACHES:
+    for cache in (*_CACHES, noise._eigh):
         cache.cache_clear()
 
 
@@ -458,6 +469,13 @@ class TestGeneratorMemo:
         cold = _cold_outputs(rho, h, jumps, t)
         rebuilt = LinearOp(h.matrix, h.spec)
         assert _counted_outputs(rho, rebuilt, jumps, t) == (cold, [(0, 1), (0, 1)])
+
+    @pytest.mark.parametrize("N, beta", [(0, 0.0), (1, 0.12), (4, 0.28), (7, 0.5 + 0.3j)])
+    def test_setup_state_is_plus_times_displaced_fock(self, N, beta):
+        spec = HilbertSpec(24, 0)
+        rho, _, _ = qubit_cavity_parity_setup(N, beta, _scaled_params(0.1), spec)
+        psi = np.kron(np.array([1.0, 1.0]) / math.sqrt(2.0), displacement(beta, spec).apply(fock_state(N, spec)))
+        assert np.array_equal(rho.matrix, np.outer(psi, psi.conj()))
 
     def test_setup_returns_a_new_jump_list(self):
         params = _scaled_params(0.1)
@@ -547,7 +565,9 @@ class TestBlockPropagator:
         out = lindblad_evolve(MixedState(rho0, spec), LindbladSpec(ham, ops, duration=t, dt=t))
         entry = _propagator_entry(ham, ops, t)
         assert entry.func is noise._gather_sum
-        rows, cols, vals = entry.args
+        pairs, cols, vals = entry.args
+        rows = pairs[::2] // 2
+        assert np.array_equal(pairs, noise._pair_index(rows))
         assert vals.size == n * n
         propagator = np.zeros((n, n), dtype=complex)
         propagator[rows, cols] = vals
@@ -570,7 +590,27 @@ class TestBlockPropagator:
         assert out.matrix.tobytes() == (0.5 * (state + state.conj().T)).tobytes()
 
 
+def test_sum_at_is_bitwise_two_bincounts():
+    rng = np.random.default_rng(11)
+    index = rng.integers(0, 50, 3000)  # repeated bins, and bins 50..59 empty
+    values = rng.normal(size=3000) * 10.0 ** rng.integers(-8, 8, 3000) + 1j * rng.normal(size=3000)
+    expected = np.bincount(index, values.real, 60) + 1j * np.bincount(index, values.imag, 60)
+    assert noise._sum_at(noise._pair_index(index), values, 60).tobytes() == expected.tobytes()
+
+
 class TestUnitaryEvolution:
+    def test_shares_one_eigh_with_the_first_order_term(self):
+        rho, h, jumps, t = _parity_model()
+        _clear_caches()
+        rho0_of_t = unitary_evolution(rho, h)
+        perturbation_first_order(rho0_of_t, h, jumps, t)
+        info = noise._eigh.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        evals, vecs = noise._eigh(h)
+        assert not evals.flags.writeable and not vecs.flags.writeable
+        terms = noise._first_order_terms(h, tuple(jumps), t)
+        assert terms[0] is evals and terms[1] is vecs
+
     def test_matches_expm(self):
         spec = HilbertSpec(8)
         h = number_op(spec)
