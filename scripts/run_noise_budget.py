@@ -2,8 +2,10 @@
 """Noise budget of the parity protocol.
 
 Left: the closed-form noisy parity probability against the full Lindblad
-integration for one working point.  Right: the lambda1/lambda2 toy model
-sweep locating the optimal photon number under the default device rates.
+integration for one working point, and the gap between that integration and
+the first-order expansion rho0(T) + rho1 next to its (sum kappa T_M)^2 scale.
+Right: the lambda1/lambda2 toy model sweep locating the optimal photon
+number under the default device rates.
 """
 
 import argparse
@@ -18,9 +20,10 @@ from fockmet import (
     LindbladSpec,
     lindblad_evolve,
     parity_prob_noisy,
+    perturbation_first_order,
     toy_model,
 )
-from fockmet.noise import parity_readout_probability, qubit_cavity_parity_setup
+from fockmet.noise import parity_readout_probability, qubit_cavity_parity_setup, unitary_evolution
 
 
 def main() -> None:
@@ -49,6 +52,11 @@ def main() -> None:
     print(f"  simulated P_g   = {p_sim:.8f}")
     print(f"  closed-form P_g = {p_model:.8f}")
     print(f"  difference      = {abs(p_sim - p_model):.2e}")
+    rho0_of_t = unitary_evolution(rho, h)
+    rho1 = perturbation_first_order(rho0_of_t, h, jumps, params.T_M)
+    residual = np.max(np.abs(evolved.matrix - (rho0_of_t(params.T_M) + rho1)))
+    kappa_t = params.T_M * (params.kappa1 + params.kappa2 + params.kappa3 + params.kappa4)
+    print(f"  max|rho_sim - (rho0(T) + rho1)| = {residual:.2e}, (sum kappa T_M)^2 = {kappa_t**2:.2e}")
 
     results = [toy_model(n, base) for n in range(1, args.n_max + 1)]
     precisions = np.array([r.precision for r in results])

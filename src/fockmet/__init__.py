@@ -26,6 +26,7 @@ from .composite import (
     spectroscopy_signal,
 )
 from .errors import (
+    AllocationLimitError,
     ConfigError,
     FilterStarvationError,
     FockmetError,

@@ -25,6 +25,10 @@ class SubstepLimitError(FockmetError):
     """A Lindblad generator needs more Taylor substeps than the propagator allows."""
 
 
+class AllocationLimitError(FockmetError):
+    """An operator assembly would allocate more entries than its stated ceiling."""
+
+
 class ConfigError(FockmetError):
     """Run configuration failed validation."""
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composite import DeviceParams
-from .errors import ModelBreakdownError, SubstepLimitError
+from .errors import AllocationLimitError, ModelBreakdownError, SubstepLimitError
 from .fockspace import HilbertSpec, LinearOp, MixedState, _displaced_fock, _owned
 from .metrology import gain_db_from_precision, parity_shape, sql_baselines
 
@@ -53,23 +53,34 @@ def _check_dim(name: str, dim: int, hamiltonian: LinearOp) -> None:
         raise ValueError(f"{name} has dim {dim}, the Hamiltonian has dim {hamiltonian.spec.dim}")
 
 
-def _lindblad_coo(hamiltonian: np.ndarray, jumps: list[tuple[LinearOp, float]]):
+def _lindblad_coo(
+    hamiltonian: np.ndarray, jumps: list[tuple[np.ndarray, float]], max_terms: float = math.inf
+):
     """COO triplets (rows, cols, values) of the Lindblad generator on row-major vec(rho).
 
-    With row-major vectorisation vec(A X B) = (A kron B^T) vec(X).  Writing
-    G = sum kappa L^dag L / 2, the master equation is
-    K rho + rho K' + sum kappa L rho L^dag with K = -iH - G and K' = iH - G,
-    so the generator is K kron I + I kron K'^T + sum kappa L kron L*.  Each
-    A kron B is index arithmetic on the nonzeros of the dense A and B, and
-    duplicate positions are left for the CSR conversion to sum.
+    ``jumps`` holds (matrix, rate) pairs.  With row-major vectorisation
+    vec(A X B) = (A kron B^T) vec(X).  Writing G = sum kappa L^dag L / 2,
+    the master equation is K rho + rho K' + sum kappa L rho L^dag with
+    K = -iH - G and K' = iH - G, so the generator is
+    K kron I + I kron K'^T + sum kappa L kron L*.  Each A kron B is index
+    arithmetic on the nonzeros of the dense A and B, nnz(A) * nnz(B)
+    triplets, and duplicate positions are left for the CSR conversion to
+    sum.  AllocationLimitError is raised, before any triplet is built, when
+    their count passes ``max_terms``.
     """
     dim = hamiltonian.shape[0]
     eye = np.eye(dim)
     g = np.zeros((dim, dim), dtype=complex)
-    for op, rate in jumps:
-        g += 0.5 * rate * (op.matrix.conj().T @ op.matrix)
+    for l_mat, rate in jumps:
+        g += 0.5 * rate * (l_mat.conj().T @ l_mat)
     pairs = [(-1j * hamiltonian - g, eye), (eye, (1j * hamiltonian - g).T)]
-    pairs += [(rate * op.matrix, op.matrix.conj()) for op, rate in jumps]
+    pairs += [(rate * l_mat, l_mat.conj()) for l_mat, rate in jumps]
+    terms = sum(np.count_nonzero(a) * np.count_nonzero(b) for a, b in pairs)
+    if terms > max_terms:
+        raise AllocationLimitError(
+            f"the generator needs {terms:,} COO triplets ({terms * 32 / 2**30:.1f} GB), "
+            f"past the ceiling of {max_terms:,}"
+        )
     rows, cols, vals = [], [], []
     for a, b in pairs:
         a_rows, a_cols = np.nonzero(a)
@@ -131,7 +142,7 @@ def _liouvillian(hamiltonian: np.ndarray, jumps: list[tuple[LinearOp, float]], d
     Duplicate positions are left for ``_csr`` or ``_block_propagator`` to
     sum.  The labels are ``_block_labels`` of the off-diagonal pattern.
     """
-    rows, cols, vals = _lindblad_coo(hamiltonian, jumps)
+    rows, cols, vals = _lindblad_coo(hamiltonian, [(op.matrix, rate) for op, rate in jumps])
     vals *= duration
     n = hamiltonian.shape[0] ** 2
     on_diag = rows == cols
@@ -162,6 +173,15 @@ _UNIT_ROUNDOFF = 2.0**-53
 # ``qubit_cavity_parity_setup`` need 3 (N = 4) to 85 (N = 400); a duration in
 # seconds where the generator's unit is T_M asks for hundreds of thousands.
 MAX_SUBSTEPS = 1000
+# The largest COO triplet count (32 B each) that ``perturbation_first_order``
+# assembles for its jump generator in the eigenbasis of H: 1 GB of triplets,
+# before the kernel and index arrays built on them.  The diagonal H of
+# ``qubit_cavity_parity_setup`` keeps the jumps sparse: 5.2 million triplets
+# at N = 400 (dim 1080, ``default_spec``), a sixth of the ceiling.  A dense H
+# makes them dense, nnz(L)^2 per jump, 1e8 already at dim 100.
+MAX_FIRST_ORDER_TERMS = 2**25
+# The largest max|H - H^dag| / max|H| that counts as Hermitian.
+_HERMITIAN_TOL = 1e-12
 # The largest n * b_max (n entries of vec(rho), b_max the size of the largest
 # invariant block of the generator) for which ``lindblad_evolve`` builds
 # exp(T L) itself: cavity dim <= 20 for ``qubit_cavity_parity_setup``,
@@ -197,8 +217,10 @@ def _propagator(hamiltonian: LinearOp, jumps: tuple[tuple[LinearOp, float], ...]
     ``_block_propagator`` when n * b_max <= MAX_PROPAGATOR_SIZE; else
     ``_expm_action`` on T L - M as CSR, with s = ``_substeps`` and
     eta = exp(shift / s).  Raises SubstepLimitError, before any product,
-    when the generator needs more than MAX_SUBSTEPS substeps.
+    when the generator needs more than MAX_SUBSTEPS substeps, and
+    ValueError when H is not Hermitian (``_check_hermitian``).
     """
+    _check_hermitian(hamiltonian.matrix)
     coo, shift, labels = _liouvillian(hamiltonian.matrix, jumps, duration)
     n = labels.size
     if n * np.bincount(labels).max() <= MAX_PROPAGATOR_SIZE:
@@ -330,7 +352,9 @@ def lindblad_evolve(rho: MixedState, spec: LindbladSpec) -> MixedState:
     same path.  An operator rebuilt with equal contents misses.
     SubstepLimitError is raised, before any product and without keeping
     anything, when the generator needs more than MAX_SUBSTEPS substeps;
-    ValueError when rho and H differ in dimension.
+    ValueError when rho and H differ in dimension, or when H is not
+    Hermitian (max|H - H^dag| above 1e-12 max|H|), which the final
+    symmetrisation would otherwise hide.
     """
     _check_dim("rho", rho.spec.dim, spec.hamiltonian)
     dim = rho.spec.dim
@@ -341,13 +365,45 @@ def lindblad_evolve(rho: MixedState, spec: LindbladSpec) -> MixedState:
     return out
 
 
+def _check_hermitian(h: np.ndarray) -> None:
+    """Raise ValueError unless max|H - H^dag| <= _HERMITIAN_TOL * max|H|."""
+    deviation = float(np.max(np.abs(h - h.conj().T)))
+    scale = float(np.max(np.abs(h)))
+    if deviation > _HERMITIAN_TOL * scale:
+        raise ValueError(
+            f"hamiltonian is not Hermitian: max|H - H^dag| = {deviation:.2e}, max|H| = {scale:.2e}"
+        )
+
+
 @functools.lru_cache(maxsize=2)
-def _eigh(hamiltonian: LinearOp) -> tuple[np.ndarray, np.ndarray]:
-    """eigh(H) as read-only (evals, vecs), cached per operator like ``_propagator``."""
-    evals, vecs = np.linalg.eigh(hamiltonian.matrix)
+def _eigh(hamiltonian: LinearOp) -> tuple[np.ndarray, np.ndarray | None]:
+    """eigh(H) as read-only (evals, vecs), cached per operator like ``_propagator``.
+
+    A diagonal H, every off-diagonal entry exactly 0, takes no ``eigh``: evals
+    is its real diagonal in basis order and vecs is None, for which
+    ``_to_eigenbasis`` and ``_from_eigenbasis`` return their argument.
+    ValueError when H is not Hermitian (``_check_hermitian``).
+    """
+    h = hamiltonian.matrix
+    _check_hermitian(h)
+    diagonal = np.diagonal(h)
+    if np.count_nonzero(h) == np.count_nonzero(diagonal):
+        evals, vecs = diagonal.real.copy(), None
+    else:
+        evals, vecs = np.linalg.eigh(h)
+        vecs.flags.writeable = False
     evals.flags.writeable = False
-    vecs.flags.writeable = False
     return evals, vecs
+
+
+def _to_eigenbasis(vecs: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    """V^dag x V for the vecs V of ``_eigh``; x itself when H is diagonal (V is None)."""
+    return x if vecs is None else vecs.conj().T @ x @ vecs
+
+
+def _from_eigenbasis(vecs: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    """V x V^dag, the inverse of ``_to_eigenbasis``; x itself when V is None."""
+    return x if vecs is None else vecs @ x @ vecs.conj().T
 
 
 def unitary_evolution(rho0: MixedState, hamiltonian: LinearOp):
@@ -356,17 +412,18 @@ def unitary_evolution(rho0: MixedState, hamiltonian: LinearOp):
     eigh(H) comes from ``_eigh``, a ``functools.lru_cache`` of two entries
     keyed on the ``LinearOp`` (by identity), which ``perturbation_first_order``
     shares: a sweep of states under one H decomposes it once.  Each call is
-    left with rho0 in the eigenbasis.
+    left with rho0 in the eigenbasis.  A diagonal H takes no ``eigh`` and no
+    basis rotation: rho0 is already in its eigenbasis, and exp(-iHt) is a
+    phase on each entry.  ValueError when H is not Hermitian.
     """
     evals, vecs = _eigh(hamiltonian)
-    rho_eig = vecs.conj().T @ rho0.matrix @ vecs
-    return functools.partial(_rotate, evals, vecs, rho_eig)
+    return functools.partial(_rotate, evals, vecs, _to_eigenbasis(vecs, rho0.matrix))
 
 
-def _rotate(evals: np.ndarray, vecs: np.ndarray, rho_eig: np.ndarray, t: float) -> np.ndarray:
-    """exp(-iHt) rho exp(iHt) from eigh(H) = (evals, vecs) and rho~ = V^dag rho V."""
+def _rotate(evals: np.ndarray, vecs: np.ndarray | None, rho_eig: np.ndarray, t: float) -> np.ndarray:
+    """exp(-iHt) rho exp(iHt) from (evals, vecs) = ``_eigh(H)`` and rho~ = ``_to_eigenbasis(vecs, rho)``."""
     phases = np.exp(-1j * evals * t)
-    return vecs @ (phases[:, None] * rho_eig * phases.conj()) @ vecs.conj().T
+    return _from_eigenbasis(vecs, phases[:, None] * rho_eig * phases.conj())
 
 
 @functools.lru_cache(maxsize=2)
@@ -376,11 +433,13 @@ def _first_order_terms(hamiltonian: LinearOp, jumps: tuple[tuple[LinearOp, float
     eigh(H) = (evals, vecs) from ``_eigh``, the COO triplets of the jump
     generator with the jumps rotated into H's eigenbasis (their rows as
     ``_pair_index`` pairs), and each triplet's sinc kernel over the window T.
+    AllocationLimitError is raised, before the triplets are built, when they
+    would number more than MAX_FIRST_ORDER_TERMS.
     """
     h = hamiltonian.matrix
     evals, vecs = _eigh(hamiltonian)
-    rotated = [(LinearOp(_owned(vecs.conj().T @ op.matrix @ vecs), op.spec), rate) for op, rate in jumps]
-    rows, cols, vals = _lindblad_coo(np.zeros_like(h), rotated)
+    rotated = [(_to_eigenbasis(vecs, op.matrix), rate) for op, rate in jumps]
+    rows, cols, vals = _lindblad_coo(np.zeros_like(h), rotated, MAX_FIRST_ORDER_TERMS)
     omega = (evals[:, None] - evals[None, :]).ravel() * T
     x = omega[rows] - omega[cols]
     kernel = np.exp(0.5j * x - 1j * omega[rows]) * np.sinc(x / (2 * np.pi))
@@ -405,9 +464,13 @@ def perturbation_first_order(
         rho1~_ab = sum_jk L1_{ab,jk} rho0~_jk T e^{-i omega_ab T + ix/2} sinc(x/2pi),
 
     with rho1 = V rho1~ V^dag.  The sinc form is exact at x = 0, with no
-    (e^{ix} - 1)/x cancellation.  Cost scales with the nonzeros of the jumps
-    in H's eigenbasis: the diagonal H of ``qubit_cavity_parity_setup`` keeps
-    them sparse (4,296 terms at dim 32); a dense H makes them dense.
+    (e^{ix} - 1)/x cancellation.  A diagonal H, such as the one of
+    ``qubit_cavity_parity_setup``, has V = I: it takes no ``eigh`` and no
+    rotation of rho0, the jumps or rho1, and its guard below is elementwise.
+    Cost scales with the nonzeros of the jumps in H's eigenbasis: the
+    diagonal H keeps them sparse (4,296 terms at dim 32); a dense H makes
+    them dense, and AllocationLimitError is raised, before they are built,
+    past MAX_FIRST_ORDER_TERMS triplets.
 
     ``rho0_of_t`` must be the unitary evolution under ``hamiltonian``; a
     mismatch at T above 1e-9 raises ValueError.  ``num_points`` is validated
@@ -418,7 +481,8 @@ def perturbation_first_order(
     caches them as ``lindblad_evolve`` caches its propagator (an operator
     rebuilt with equal contents misses).  Each call is left with rho0 in
     the eigenbasis, the unitary guard, one gather and one sum.  ValueError
-    is raised when a jump or rho0_of_t(0) differs from H in dimension.
+    is raised when a jump or rho0_of_t(0) differs from H in dimension, and
+    when H is not Hermitian.
     """
     for _, rate in jumps:
         if rate * T > 0.3:
@@ -428,11 +492,11 @@ def perturbation_first_order(
         raise ValueError("num_points must be at least 5")
     for op, _ in jumps:
         _check_dim("jump operator", op.spec.dim, hamiltonian)
-    rho0 = rho0_of_t(0.0)
+    rho0 = np.asarray(rho0_of_t(0.0))
     _check_dim("rho0_of_t(0)", len(rho0), hamiltonian)
 
     evals, vecs, pairs, cols, vals, kernel = _first_order_terms(hamiltonian, tuple(jumps), T)
-    rho_eig = vecs.conj().T @ rho0 @ vecs
+    rho_eig = _to_eigenbasis(vecs, rho0)
     mismatch = float(np.max(np.abs(_rotate(evals, vecs, rho_eig, T) - rho0_of_t(T))))
     if mismatch > 1e-9:
         raise ValueError(
@@ -440,8 +504,8 @@ def perturbation_first_order(
             f"deviation {mismatch:.2e} at T"
         )
     terms = vals * rho_eig.ravel()[cols] * kernel
-    rho1 = _sum_at(pairs, terms, vecs.size)
-    return T * (vecs @ rho1.reshape(vecs.shape) @ vecs.conj().T)
+    rho1 = _sum_at(pairs, terms, rho_eig.size)
+    return T * _from_eigenbasis(vecs, rho1.reshape(rho_eig.shape))
 
 
 def parity_prob_noisy(N: int, beta: float, params: DeviceParams) -> float:

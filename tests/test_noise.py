@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -14,6 +15,7 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 
 from fockmet import (
+    AllocationLimitError,
     DeviceParams,
     HilbertSpec,
     LindbladSpec,
@@ -598,18 +600,68 @@ def test_sum_at_is_bitwise_two_bincounts():
     assert noise._sum_at(noise._pair_index(index), values, 60).tobytes() == expected.tobytes()
 
 
+def _dense_model():
+    """``_random_model(6)`` as operators: state, dense H, jumps and window."""
+    h, jumps, rho0 = _random_model(6)
+    spec = HilbertSpec(6)
+    ops = [(LinearOp(m, spec), rate) for m, rate in jumps]
+    return MixedState(rho0, spec), LinearOp(h, spec), ops, 0.4
+
+
 class TestUnitaryEvolution:
     def test_shares_one_eigh_with_the_first_order_term(self):
-        rho, h, jumps, t = _parity_model()
+        for model in (_parity_model, _dense_model):
+            rho, h, jumps, t = model()
+            _clear_caches()
+            rho0_of_t = unitary_evolution(rho, h)
+            perturbation_first_order(rho0_of_t, h, jumps, t)
+            info = noise._eigh.cache_info()
+            assert (info.misses, info.hits) == (1, 1)
+            evals, vecs = noise._eigh(h)
+            assert not evals.flags.writeable
+            if model is _parity_model:
+                assert vecs is None  # diagonal H: the eigenbasis is the basis, nothing to rotate
+            else:
+                assert not vecs.flags.writeable
+            terms = noise._first_order_terms(h, tuple(jumps), t)
+            assert terms[0] is evals and terms[1] is vecs
+
+    def test_dense_path_is_the_diagonal_path_in_a_rotated_basis(self):
+        # The parity model's H is diagonal, with eigenvalue 0 seven-fold; turned
+        # by a random unitary Q it takes the eigh path, whose results must be
+        # the diagonal path's turned by Q.
+        rho, h, jumps, t = _parity_model(dim=6)
+        rng = np.random.default_rng(8)
+        q, _ = np.linalg.qr(rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)))
+
+        def turn(m):
+            return q @ m @ q.conj().T
+
+        q_h = turn(h.matrix)
+        q_h = LinearOp(0.5 * (q_h + q_h.conj().T), h.spec)  # Hermitian to the bit
+        q_jumps = [(LinearOp(turn(op.matrix), h.spec), rate) for op, rate in jumps]
+        _clear_caches()
+        diagonal = unitary_evolution(rho, h)
+        dense = unitary_evolution(MixedState(turn(rho.matrix), h.spec), q_h)
+        assert noise._eigh(h)[1] is None and noise._eigh(q_h)[1] is not None
+        for s in (0.0, 0.3 * t, t):
+            assert np.max(np.abs(dense(s) - turn(diagonal(s)))) <= 1e-12
+        rho1 = perturbation_first_order(diagonal, h, jumps, t)
+        q_rho1 = perturbation_first_order(dense, q_h, q_jumps, t)
+        assert np.max(np.abs(rho1)) > 1e-4
+        assert np.max(np.abs(q_rho1 - turn(rho1))) <= 1e-12
+
+    def test_parity_model_at_n100_runs_no_eigh(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *args: calls.append(args) or eigh(*args))
+        params = _scaled_params(0.1)
+        rho, h, jumps = qubit_cavity_parity_setup(100, 0.2, params, default_spec(100))
         _clear_caches()
         rho0_of_t = unitary_evolution(rho, h)
-        perturbation_first_order(rho0_of_t, h, jumps, t)
-        info = noise._eigh.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        evals, vecs = noise._eigh(h)
-        assert not evals.flags.writeable and not vecs.flags.writeable
-        terms = noise._first_order_terms(h, tuple(jumps), t)
-        assert terms[0] is evals and terms[1] is vecs
+        rho1 = perturbation_first_order(rho0_of_t, h, jumps, params.T_M)
+        assert calls == []
+        assert abs(np.trace(rho1)) < 1e-12 and np.max(np.abs(rho1)) > 1e-4
 
     def test_matches_expm(self):
         spec = HilbertSpec(8)
@@ -623,6 +675,50 @@ class TestUnitaryEvolution:
         t = 0.37
         u = expm(-1j * h.matrix * t)
         assert np.max(np.abs(rho_of_t(t) - u @ rho0 @ u.conj().T)) < 1e-12
+
+
+@pytest.mark.parametrize("entry", ["unitary_evolution", "perturbation_first_order", "lindblad_evolve"])
+def test_rejects_non_hermitian_hamiltonian(entry):
+    # exp(-iH) of this H takes |1><1| to a matrix of trace 1.92, while eigh
+    # reads one triangle and would give trace 1 without a word.
+    spec = HilbertSpec(4)
+    m = number_op(spec).matrix.copy()
+    m[0, 1] = 1.0
+    h = LinearOp(m, spec)
+    rho = fock_state(1, spec).to_mixed()
+    _clear_caches()
+    message = r"^hamiltonian is not Hermitian: max\|H - H\^dag\| = 1\.00e\+00, max\|H\| = 3\.00e\+00$"
+    with pytest.raises(ValueError, match=message):
+        if entry == "unitary_evolution":
+            unitary_evolution(rho, h)
+        elif entry == "perturbation_first_order":
+            perturbation_first_order(lambda t: rho.matrix, h, [(ladder_ops(spec)[0], 0.1)], 1.0)
+        else:
+            lindblad_evolve(rho, LindbladSpec(h, [(ladder_ops(spec)[0], 0.1)], duration=1.0, dt=1.0))
+
+
+class TestFirstOrderAllocationGuard:
+    def test_past_the_ceiling_raises_before_building(self, monkeypatch):
+        # The dense H makes both rotated jumps dense: 2 * 36^2 triplets, plus
+        # 2 * 6 * 36 for G, 3,024 in all.
+        monkeypatch.setattr(noise, "MAX_FIRST_ORDER_TERMS", 3023)
+        h, jumps, rho0 = _random_model(6)
+        _clear_caches()
+        message = r"^the generator needs 3,024 COO triplets .* past the ceiling of 3,023$"
+        with pytest.raises(AllocationLimitError, match=message):
+            _first_order(h, jumps, rho0, 0.4)
+        assert noise._first_order_terms.cache_info().currsize == 0
+        monkeypatch.setattr(noise, "MAX_FIRST_ORDER_TERMS", 3024)
+        rho1 = _first_order(h, jumps, rho0, 0.4)
+        assert np.max(np.abs(rho1 - _dense_van_loan(h, jumps, rho0, 0.4))) <= 1e-12
+
+    def test_parity_model_at_n400_is_far_below_the_ceiling(self):
+        _, h, jumps = qubit_cavity_parity_setup(400, 0.2, DeviceParams(), default_spec(400))
+        plain = [(op.matrix, rate) for op, rate in jumps]
+        with pytest.raises(AllocationLimitError) as info:
+            noise._lindblad_coo(np.zeros_like(h.matrix), plain, 0)
+        terms = int(re.search(r"needs ([\d,]+) COO", str(info.value)).group(1).replace(",", ""))
+        assert 5e6 < terms < noise.MAX_FIRST_ORDER_TERMS / 6
 
 
 class TestPerturbationFirstOrder:
