@@ -267,8 +267,17 @@ def _parse_schedule(raw, context: str) -> list[FilterSpec]:
     return specs
 
 
+def _shot_rng(config: RunConfig):
+    """The shot generator seeded by ``config.seed``; None when no shots are drawn.
+
+    ``sample_shots`` ignores the generator when ``shots`` is None, and
+    building one loads ``numpy.random``, a sizeable share of a cold run.
+    """
+    return None if config.shots is None else np.random.default_rng(config.seed)
+
+
 def _run_displacement_sweep(config: RunConfig, N, beta):
-    pg = sample_shots(parity_curve_ideal(N, beta), config.shots, np.random.default_rng(config.seed))
+    pg = sample_shots(parity_curve_ideal(N, beta), config.shots, _shot_rng(config))
     # This sweep's and the phase sweep's Fisher columns stay per-point scalar
     # calls: np.exp on an array differs from math.exp by an ulp on a few inputs
     # (which the phase sweep's central difference amplifies by 1/(2h)), and the
@@ -285,8 +294,7 @@ def _run_displacement_sweep(config: RunConfig, N, beta):
 
 def _run_phase_sweep(config: RunConfig, N, phi):
     gamma = math.sqrt(N) if N > 0 else 1.0
-    rng = np.random.default_rng(config.seed)
-    pg = sample_shots(phase_curve_ideal(N, gamma, phi), config.shots, rng)
+    pg = sample_shots(phase_curve_ideal(N, gamma, phi), config.shots, _shot_rng(config))
     fisher = [  # per point, as in _run_displacement_sweep
         cfi_of_curve(lambda x: phase_curve_ideal(N, gamma, x), float(p))
         for p in phi
@@ -297,7 +305,7 @@ def _run_phase_sweep(config: RunConfig, N, phi):
 
 
 def _run_ramsey_scan(config: RunConfig, n_values, theta, target_n):
-    rng = np.random.default_rng(config.seed)
+    rng = _shot_rng(config)
     rows, extra = [], []
     for n in n_values:
         trace = sample_shots(ramsey_trace(n, target_n, theta), config.shots, rng)

@@ -232,8 +232,11 @@ def spectroscopy_signal(
     return sample_shots(signal, shots, np.random.default_rng(seed))
 
 
-def sample_shots(p, shots: int | None, rng: np.random.Generator):
-    """Binomial shot means of the probabilities ``p``; ``p`` itself when shots is None."""
+def sample_shots(p, shots: int | None, rng: np.random.Generator | None):
+    """Binomial shot means of the probabilities ``p``; ``p`` itself when shots is None.
+
+    ``rng`` is not used when shots is None, and may then be None.
+    """
     if shots is None:
         return p
     if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:

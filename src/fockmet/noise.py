@@ -12,13 +12,14 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .composite import DeviceParams
 from .errors import AllocationLimitError, ModelBreakdownError, SubstepLimitError
 from .fockspace import HilbertSpec, LinearOp, MixedState, _displaced_fock, _owned
-from .metrology import gain_db_from_precision, parity_shape, sql_baselines
+from .metrology import gain_db_from_precision, parity_shape
 
 
 @dataclass(frozen=True)
@@ -141,8 +142,11 @@ def _liouvillian(hamiltonian: np.ndarray, jumps: list[tuple[LinearOp, float]], d
     by T, then the summed diagonal minus M, one triplet per index.
     Duplicate positions are left for ``_csr`` or ``_block_propagator`` to
     sum.  The labels are ``_block_labels`` of the off-diagonal pattern.
+    AllocationLimitError is raised, before any triplet is built, past
+    MAX_COO_TERMS triplets.
     """
-    rows, cols, vals = _lindblad_coo(hamiltonian, [(op.matrix, rate) for op, rate in jumps])
+    plain = [(op.matrix, rate) for op, rate in jumps]
+    rows, cols, vals = _lindblad_coo(hamiltonian, plain, MAX_COO_TERMS)
     vals *= duration
     n = hamiltonian.shape[0] ** 2
     on_diag = rows == cols
@@ -173,13 +177,15 @@ _UNIT_ROUNDOFF = 2.0**-53
 # ``qubit_cavity_parity_setup`` need 3 (N = 4) to 85 (N = 400); a duration in
 # seconds where the generator's unit is T_M asks for hundreds of thousands.
 MAX_SUBSTEPS = 1000
-# The largest COO triplet count (32 B each) that ``perturbation_first_order``
-# assembles for its jump generator in the eigenbasis of H: 1 GB of triplets,
-# before the kernel and index arrays built on them.  The diagonal H of
-# ``qubit_cavity_parity_setup`` keeps the jumps sparse: 5.2 million triplets
+# The largest COO triplet count (32 B each) that one generator assembly may
+# build: the Liouvillian of ``lindblad_evolve``'s propagator, and the jump
+# generator in the eigenbasis of H of ``perturbation_first_order``.  1 GB of
+# triplets, before the arrays built on them.  The diagonal H of
+# ``qubit_cavity_parity_setup`` keeps both sparse: about 5.2 million triplets
 # at N = 400 (dim 1080, ``default_spec``), a sixth of the ceiling.  A dense H
-# makes them dense, nnz(L)^2 per jump, 1e8 already at dim 100.
-MAX_FIRST_ORDER_TERMS = 2**25
+# makes them dense: 2 dim^3 for H alone in the Liouvillian, nnz(L)^2 per
+# rotated jump, 1e8 already at dim 100.
+MAX_COO_TERMS = 2**25
 # The largest max|H - H^dag| / max|H| that counts as Hermitian.
 _HERMITIAN_TOL = 1e-12
 # The largest n * b_max (n entries of vec(rho), b_max the size of the largest
@@ -217,7 +223,9 @@ def _propagator(hamiltonian: LinearOp, jumps: tuple[tuple[LinearOp, float], ...]
     ``_block_propagator`` when n * b_max <= MAX_PROPAGATOR_SIZE; else
     ``_expm_action`` on T L - M as CSR, with s = ``_substeps`` and
     eta = exp(shift / s).  Raises SubstepLimitError, before any product,
-    when the generator needs more than MAX_SUBSTEPS substeps, and
+    when the generator needs more than MAX_SUBSTEPS substeps,
+    AllocationLimitError, before any triplet is built, when its assembly
+    needs more than MAX_COO_TERMS triplets (``_liouvillian``), and
     ValueError when H is not Hermitian (``_check_hermitian``).
     """
     _check_hermitian(hamiltonian.matrix)
@@ -351,9 +359,11 @@ def lindblad_evolve(rho: MixedState, spec: LindbladSpec) -> MixedState:
     the same operators builds it once, and cold and warm calls take the
     same path.  An operator rebuilt with equal contents misses.
     SubstepLimitError is raised, before any product and without keeping
-    anything, when the generator needs more than MAX_SUBSTEPS substeps;
-    ValueError when rho and H differ in dimension, or when H is not
-    Hermitian (max|H - H^dag| above 1e-12 max|H|), which the final
+    anything, when the generator needs more than MAX_SUBSTEPS substeps, and
+    AllocationLimitError, the same way, when assembling it would build more
+    than MAX_COO_TERMS COO triplets (a dense H alone needs 2 dim^3, the
+    ceiling at dim 256); ValueError when rho and H differ in dimension, or
+    when H is not Hermitian (max|H - H^dag| above 1e-12 max|H|), which the final
     symmetrisation would otherwise hide.
     """
     _check_dim("rho", rho.spec.dim, spec.hamiltonian)
@@ -434,12 +444,12 @@ def _first_order_terms(hamiltonian: LinearOp, jumps: tuple[tuple[LinearOp, float
     generator with the jumps rotated into H's eigenbasis (their rows as
     ``_pair_index`` pairs), and each triplet's sinc kernel over the window T.
     AllocationLimitError is raised, before the triplets are built, when they
-    would number more than MAX_FIRST_ORDER_TERMS.
+    would number more than MAX_COO_TERMS.
     """
     h = hamiltonian.matrix
     evals, vecs = _eigh(hamiltonian)
     rotated = [(_to_eigenbasis(vecs, op.matrix), rate) for op, rate in jumps]
-    rows, cols, vals = _lindblad_coo(np.zeros_like(h), rotated, MAX_FIRST_ORDER_TERMS)
+    rows, cols, vals = _lindblad_coo(np.zeros_like(h), rotated, MAX_COO_TERMS)
     omega = (evals[:, None] - evals[None, :]).ravel() * T
     x = omega[rows] - omega[cols]
     kernel = np.exp(0.5j * x - 1j * omega[rows]) * np.sinc(x / (2 * np.pi))
@@ -470,7 +480,7 @@ def perturbation_first_order(
     Cost scales with the nonzeros of the jumps in H's eigenbasis: the
     diagonal H keeps them sparse (4,296 terms at dim 32); a dense H makes
     them dense, and AllocationLimitError is raised, before they are built,
-    past MAX_FIRST_ORDER_TERMS triplets.
+    past MAX_COO_TERMS triplets.
 
     ``rho0_of_t`` must be the unitary evolution under ``hamiltonian``; a
     mismatch at T above 1e-9 raises ValueError.  ``num_points`` is validated
@@ -539,8 +549,16 @@ def displacement_dephasing_bias(N: int, beta: float, params: DeviceParams) -> fl
     return params.kappa2 * params.T_D * beta * beta * N**3 / 3.0
 
 
-@dataclass(frozen=True)
-class ToyModelResult:
+class ToyModelResult(NamedTuple):
+    """``toy_model``'s output at one N.
+
+    A NamedTuple rather than a frozen dataclass: it is as immutable and
+    compares by value, and builds in about a third of the time, which
+    matters to callers that sweep N point by point.  It also iterates and
+    unpacks; ``_replace`` and ``_asdict`` stand in for ``dataclasses.replace``
+    and ``asdict``.
+    """
+
     lambda1: float
     lambda2: float
     fisher: float
@@ -554,24 +572,21 @@ def toy_model(N: int, params: DeviceParams) -> ToyModelResult:
     lambda1 collects offset errors, lambda2 slope errors; the Fisher
     information is (1 - lambda2)^2 * 8N and the gain compares the
     resulting precision to the coherent-state baseline of 1/2.
+    lambda2 = 2 lambda1 + kappa2 T_D N^2 / 6: its offset part is lambda1
+    doubled, and doubling is exact in binary floating point, so this is the
+    same to the bit as summing the four terms of lambda2 one by one.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     k1, k2, k3, k4 = params.kappa1, params.kappa2, params.kappa3, params.kappa4
     t_i, t_m, t_d = params.T_i, params.T_M, params.T_D
     lambda1 = N * k1 * t_i + 0.5 * N * k1 * t_m + 0.25 * (k3 + k4) * t_m
-    lambda2 = (
-        2.0 * N * k1 * t_i
-        + N * k1 * t_m
-        + 0.5 * (k3 + k4) * t_m
-        + k2 * t_d * N * N / 6.0
-    )
+    lambda2 = 2.0 * lambda1 + k2 * t_d * N * N / 6.0
     if lambda2 >= 1.0:
         raise ModelBreakdownError(f"lambda2 = {lambda2:.3g} >= 1 at N = {N}")
     fisher = (1.0 - lambda2) ** 2 * 8.0 * N
     precision = 1.0 / math.sqrt(fisher)
-    gain_db = gain_db_from_precision(sql_baselines(N)[0], precision)
-    return ToyModelResult(lambda1, lambda2, fisher, precision, gain_db)
+    return ToyModelResult(lambda1, lambda2, fisher, precision, gain_db_from_precision(0.5, precision))
 
 
 def init_fidelity_model(N: int, params: DeviceParams) -> float:

@@ -446,6 +446,21 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_exact_phase_sweep_loads_no_numpy_random(tmp_path):
+    # shots: null draws no shots, so the run builds no generator.
+    config = ROOT / "configs" / "phase_sweep.yaml"
+    code = (
+        "import sys; from fockmet.cli import main; "
+        "code = main(['run', sys.argv[1], '--out', sys.argv[2]]); "
+        "print('numpy.random' in sys.modules); sys.exit(code)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop(OUTDIR_ENV, None)
+    args = [sys.executable, "-c", code, str(config), str(tmp_path)]
+    out = subprocess.run(args, env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "False"
+
+
 def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
     # The same config run as two processes, with one and with two BLAS
     # threads, writes the same bytes.

@@ -23,6 +23,7 @@ from fockmet import (
     MixedState,
     ModelBreakdownError,
     SubstepLimitError,
+    ToyModelResult,
     coherent_state,
     default_spec,
     displacement,
@@ -37,7 +38,7 @@ from fockmet import (
     toy_model,
 )
 from fockmet import noise
-from fockmet.metrology import parity_curve_ideal
+from fockmet.metrology import gain_db_from_precision, parity_curve_ideal, sql_baselines
 from fockmet.noise import (
     _expm_action,
     parity_readout_probability,
@@ -701,24 +702,48 @@ class TestFirstOrderAllocationGuard:
     def test_past_the_ceiling_raises_before_building(self, monkeypatch):
         # The dense H makes both rotated jumps dense: 2 * 36^2 triplets, plus
         # 2 * 6 * 36 for G, 3,024 in all.
-        monkeypatch.setattr(noise, "MAX_FIRST_ORDER_TERMS", 3023)
+        monkeypatch.setattr(noise, "MAX_COO_TERMS", 3023)
         h, jumps, rho0 = _random_model(6)
         _clear_caches()
         message = r"^the generator needs 3,024 COO triplets .* past the ceiling of 3,023$"
         with pytest.raises(AllocationLimitError, match=message):
             _first_order(h, jumps, rho0, 0.4)
         assert noise._first_order_terms.cache_info().currsize == 0
-        monkeypatch.setattr(noise, "MAX_FIRST_ORDER_TERMS", 3024)
+        monkeypatch.setattr(noise, "MAX_COO_TERMS", 3024)
         rho1 = _first_order(h, jumps, rho0, 0.4)
         assert np.max(np.abs(rho1 - _dense_van_loan(h, jumps, rho0, 0.4))) <= 1e-12
 
     def test_parity_model_at_n400_is_far_below_the_ceiling(self):
+        # Both assemblies: the jump generator of the first-order term (H = 0)
+        # and the Liouvillian of the propagator (the diagonal H).
         _, h, jumps = qubit_cavity_parity_setup(400, 0.2, DeviceParams(), default_spec(400))
         plain = [(op.matrix, rate) for op, rate in jumps]
-        with pytest.raises(AllocationLimitError) as info:
-            noise._lindblad_coo(np.zeros_like(h.matrix), plain, 0)
-        terms = int(re.search(r"needs ([\d,]+) COO", str(info.value)).group(1).replace(",", ""))
-        assert 5e6 < terms < noise.MAX_FIRST_ORDER_TERMS / 6
+        for ham in (np.zeros_like(h.matrix), h.matrix):
+            with pytest.raises(AllocationLimitError) as info:
+                noise._lindblad_coo(ham, plain, 0)
+            terms = int(re.search(r"needs ([\d,]+) COO", str(info.value)).group(1).replace(",", ""))
+            assert 5e6 < terms < noise.MAX_COO_TERMS / 6
+
+
+class TestPropagatorAllocationGuard:
+    def test_past_the_ceiling_raises_before_building(self, monkeypatch):
+        # Dense H and G: 2 * 36 * 6 triplets for -iH - G and iH - G, then
+        # 36^2 for the non-normal jump and 6^2 for the diagonal one, 1,764 in all.
+        h, jumps, rho0 = _random_model(6)
+        spec = HilbertSpec(6)
+        ops = [(LinearOp(l_mat, spec), rate) for l_mat, rate in jumps]
+        lspec = LindbladSpec(LinearOp(h, spec), ops, duration=0.4, dt=0.4)
+        rho = MixedState(rho0, spec)
+        monkeypatch.setattr(noise, "MAX_COO_TERMS", 1763)
+        _clear_caches()
+        message = r"^the generator needs 1,764 COO triplets .* past the ceiling of 1,763$"
+        with pytest.raises(AllocationLimitError, match=message):
+            lindblad_evolve(rho, lspec)
+        assert noise._propagator.cache_info().currsize == 0
+        monkeypatch.setattr(noise, "MAX_COO_TERMS", 1764)
+        out = lindblad_evolve(rho, lspec)
+        exact = (expm(0.4 * _generator_by_columns(h, jumps)) @ rho0.reshape(-1)).reshape(6, 6)
+        assert np.max(np.abs(out.matrix - exact)) <= 1e-12
 
 
 class TestPerturbationFirstOrder:
@@ -859,6 +884,46 @@ class TestClosedFormModels:
         assert r.lambda1 == pytest.approx(l1)
         assert r.fisher == pytest.approx((1 - r.lambda2) ** 2 * 80)
         assert r.precision == pytest.approx(1 / math.sqrt(r.fisher))
+
+    @pytest.mark.parametrize("scale", [0.01, 0.1, 1.0, 3.0])
+    def test_toy_model_is_bitwise_the_four_term_sum(self, scale):
+        # The reference writes lambda2 as its four terms, one by one, and
+        # takes the gain over sql_baselines; it returns the breakdown message
+        # past the model's validity.
+        def reference(n, p):
+            k1, k2, k3, k4 = p.kappa1, p.kappa2, p.kappa3, p.kappa4
+            t_i, t_m, t_d = p.T_i, p.T_M, p.T_D
+            lambda1 = n * k1 * t_i + 0.5 * n * k1 * t_m + 0.25 * (k3 + k4) * t_m
+            lambda2 = (
+                2.0 * n * k1 * t_i
+                + n * k1 * t_m
+                + 0.5 * (k3 + k4) * t_m
+                + k2 * t_d * n * n / 6.0
+            )
+            if lambda2 >= 1.0:
+                return f"lambda2 = {lambda2:.3g} >= 1 at N = {n}"
+            fisher = (1.0 - lambda2) ** 2 * 8.0 * n
+            precision = 1.0 / math.sqrt(fisher)
+            return lambda1, lambda2, fisher, precision, gain_db_from_precision(sql_baselines(n)[0], precision)
+
+        p = _scaled_params(scale)
+        n = 1
+        while isinstance(expected := reference(n, p), tuple):
+            assert [x.hex() for x in toy_model(n, p)] == [x.hex() for x in expected]
+            n += 1
+        assert n > 1
+        with pytest.raises(ModelBreakdownError, match=f"^{re.escape(expected)}$"):
+            toy_model(n, p)
+
+    def test_toy_model_result_contract(self):
+        r = ToyModelResult(1.0, 2.0, 3.0, 4.0, 5.0)
+        assert ToyModelResult._fields == ("lambda1", "lambda2", "fisher", "precision", "gain_db")
+        same = ToyModelResult(1.0, 2.0, 3.0, 4.0, 5.0)
+        assert r == same and hash(r) == hash(same)
+        assert r != r._replace(gain_db=6.0)
+        assert repr(r) == "ToyModelResult(lambda1=1.0, lambda2=2.0, fisher=3.0, precision=4.0, gain_db=5.0)"
+        with pytest.raises(AttributeError):
+            r.lambda1 = 0.0
 
     def test_toy_model_breakdown(self):
         with pytest.raises(ModelBreakdownError):
