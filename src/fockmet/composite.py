@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FilterStarvationError
-from .fockspace import HilbertSpec, PureState, _owned, coherent_state
+from .fockspace import HilbertSpec, PureState, coherent_state
 
 TWO_PI = 2.0 * math.pi
 
@@ -115,7 +115,7 @@ def _branch(amplitudes: np.ndarray, spec: HilbertSpec) -> tuple[PureState | None
     p = float(np.sum(np.abs(amplitudes) ** 2))
     if p < BRANCH_EPS:
         return None, p
-    return PureState(_owned(amplitudes / math.sqrt(p)), spec), p
+    return PureState(amplitudes / math.sqrt(p), spec), p
 
 
 def _ramsey(dn, theta: float, phi: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -229,7 +229,9 @@ def spectroscopy_signal(
     signal = np.zeros_like(f_grid)
     for pop, fn in zip(populations, centers):
         signal += pop * np.exp(-((f_grid - fn) ** 2) / (2.0 * sigma_f**2))
-    return sample_shots(signal, shots, np.random.default_rng(seed))
+    # No generator when no shots are drawn: building one loads numpy.random.
+    rng = None if shots is None else np.random.default_rng(seed)
+    return sample_shots(signal, shots, rng)
 
 
 def sample_shots(p, shots: int | None, rng: np.random.Generator | None):

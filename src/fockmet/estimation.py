@@ -152,7 +152,9 @@ class ShotRecord:
     """Per-grid-point binary counts of a sensing sweep.
 
     ``shots=None`` marks the infinite-shot limit: ``pg`` holds exact
-    probabilities and resampling reproduces them verbatim.
+    probabilities and resampling reproduces them verbatim.  ``grid`` and
+    ``pg`` are kept as read-only float copies, so later writes to the
+    caller's arrays do not reach the record.
     """
 
     grid: np.ndarray
@@ -162,16 +164,17 @@ class ShotRecord:
     N: int
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        pg = np.asarray(self.pg, dtype=float)
+        grid = np.array(self.grid, dtype=float)
+        pg = np.array(self.pg, dtype=float)
         if grid.ndim != 1 or pg.shape != grid.shape:
             raise ValueError(f"grid and pg must be 1-D of one length, got {grid.shape} and {pg.shape}")
         if self.N < 0:
             raise ValueError("N must be non-negative")
         if self.N == 0 and self.model is Parameter.PHI:
             raise ValueError("the phase model needs N >= 1: it scales beta by sqrt(N)")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "pg", pg)
+        for name, arr in (("grid", grid), ("pg", pg)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 def _fisher_precision_from_fit(record: ShotRecord, pg: np.ndarray) -> float:

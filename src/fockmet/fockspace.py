@@ -55,34 +55,17 @@ def default_spec(n_max: int) -> HilbertSpec:
     return HilbertSpec(dim=n_max + head, guard=head // 2)
 
 
-class _Owned:
-    """An array that fockmet has just built, handed to a constructor to keep."""
+def _frozen(arr, shape: tuple[int, ...], message: str) -> np.ndarray:
+    """A read-only complex C-contiguous copy of ``arr``; ValueError(message) unless it has ``shape``.
 
-    __slots__ = ("array",)
-
-    def __init__(self, array: np.ndarray):
-        self.array = array
-
-
-def _owned(array: np.ndarray) -> _Owned:
-    """Give ``array`` to a ``PureState``, ``MixedState`` or ``LinearOp`` without a copy.
-
-    Only for arrays that fockmet has just built and that nothing else holds:
-    the constructor freezes the array itself.
+    Every ``PureState``, ``MixedState`` and ``LinearOp`` keeps such a copy,
+    whether its array came from a caller or from fockmet itself, so the
+    caller stays free to write its array, and writing it (or the base of a
+    view of it) never reaches the object.
     """
-    return _Owned(array)
-
-
-def _frozen(arr) -> np.ndarray:
-    """A read-only complex C-contiguous copy of ``arr``, or an ``_owned`` array itself.
-
-    Copying a caller's array leaves the caller free to write it, and leaves
-    the object unchanged when the caller (or the base of a view) is written.
-    """
-    if isinstance(arr, _Owned):
-        out = np.ascontiguousarray(arr.array, dtype=complex)
-    else:
-        out = np.array(arr, dtype=complex, order="C")
+    out = np.array(arr, dtype=complex, order="C")
+    if out.shape != shape:
+        raise ValueError(message)
     out.flags.writeable = False
     return out
 
@@ -95,9 +78,8 @@ class PureState:
     spec: HilbertSpec
 
     def __post_init__(self):
-        amp = _frozen(self.amplitudes)
-        if amp.shape != (self.spec.dim,):
-            raise ValueError(f"amplitude vector must have length {self.spec.dim}")
+        dim = self.spec.dim
+        amp = _frozen(self.amplitudes, (dim,), f"amplitude vector must have length {dim}")
         object.__setattr__(self, "amplitudes", amp)
 
     @classmethod
@@ -106,7 +88,7 @@ class PureState:
         norm = np.linalg.norm(amp)
         if norm == 0.0:
             raise ValueError("cannot normalize a zero vector")
-        return cls(_owned(amp / norm), spec)
+        return cls(amp / norm, spec)
 
     @property
     def norm(self) -> float:
@@ -129,7 +111,7 @@ class PureState:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def to_mixed(self) -> "MixedState":
-        return MixedState(_owned(np.outer(self.amplitudes, self.amplitudes.conj())), self.spec)
+        return MixedState(np.outer(self.amplitudes, self.amplitudes.conj()), self.spec)
 
 
 @dataclass(frozen=True)
@@ -140,9 +122,8 @@ class MixedState:
     spec: HilbertSpec
 
     def __post_init__(self):
-        mat = _frozen(self.matrix)
-        if mat.shape != (self.spec.dim, self.spec.dim):
-            raise ValueError(f"density matrix must be {self.spec.dim}x{self.spec.dim}")
+        dim = self.spec.dim
+        mat = _frozen(self.matrix, (dim, dim), f"density matrix must be {dim}x{dim}")
         object.__setattr__(self, "matrix", mat)
 
     @property
@@ -192,16 +173,15 @@ class LinearOp:
     spec: HilbertSpec
 
     def __post_init__(self):
-        mat = _frozen(self.matrix)
-        if mat.shape != (self.spec.dim, self.spec.dim):
-            raise ValueError(f"operator must be {self.spec.dim}x{self.spec.dim}")
+        dim = self.spec.dim
+        mat = _frozen(self.matrix, (dim, dim), f"operator must be {dim}x{dim}")
         object.__setattr__(self, "matrix", mat)
 
     def dagger(self) -> "LinearOp":
         return LinearOp(self.matrix.conj().T, self.spec)
 
     def __matmul__(self, other: "LinearOp") -> "LinearOp":
-        return LinearOp(_owned(self.matrix @ other.matrix), self.spec)
+        return LinearOp(self.matrix @ other.matrix, self.spec)
 
     def apply(self, state: PureState) -> np.ndarray:
         return self.matrix @ state.amplitudes
@@ -218,16 +198,16 @@ def ladder_ops(spec: HilbertSpec) -> tuple[LinearOp, LinearOp]:
     lower = np.zeros((spec.dim, spec.dim), dtype=complex)
     n = np.arange(1, spec.dim)
     lower[n - 1, n] = np.sqrt(n)
-    return LinearOp(_owned(lower), spec), LinearOp(lower.conj().T, spec)
+    return LinearOp(lower, spec), LinearOp(lower.conj().T, spec)
 
 
 def number_op(spec: HilbertSpec) -> LinearOp:
-    return LinearOp(_owned(np.diag(np.arange(spec.dim)).astype(complex)), spec)
+    return LinearOp(np.diag(np.arange(spec.dim)), spec)
 
 
 def parity_op(spec: HilbertSpec) -> LinearOp:
     signs = (-1.0) ** np.arange(spec.dim)
-    return LinearOp(_owned(np.diag(signs).astype(complex)), spec)
+    return LinearOp(np.diag(signs), spec)
 
 
 def fock_state(n: int, spec: HilbertSpec) -> PureState:
@@ -235,7 +215,7 @@ def fock_state(n: int, spec: HilbertSpec) -> PureState:
         raise ValueError(f"Fock index {n} outside [0, {spec.dim})")
     amp = np.zeros(spec.dim, dtype=complex)
     amp[n] = 1.0
-    return PureState(_owned(amp), spec)
+    return PureState(amp, spec)
 
 
 def _coherent_series(alpha: complex, dim: int) -> np.ndarray:
@@ -308,7 +288,7 @@ def displacement(beta: complex, spec: HilbertSpec, check_interior: bool = False)
     for n, g in enumerate(_displacement_diagonals(beta, dim)):
         mat[n:, n] = g
         mat[n, n:] = sign[: dim - n] * g.conj()  # <n|D|n+k> = (-1)^k conj(<n+k|D|n>)
-    op = LinearOp(_owned(mat), spec)
+    op = LinearOp(mat, spec)
     if check_interior and spec.guard > 0:
         defect = op.interior_unitarity_defect()
         if defect > 1e-8:
@@ -345,7 +325,7 @@ def _displaced_fock(beta: complex, n: int, spec: HilbertSpec) -> np.ndarray:
 
 
 def displaced_state(beta: complex, state: PureState) -> PureState:
-    return PureState(_owned(displacement(beta, state.spec).apply(state)), state.spec)
+    return PureState(displacement(beta, state.spec).apply(state), state.spec)
 
 
 def parity_expectation(state: MixedState) -> float:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fockspace import HilbertSpec, LinearOp, PureState, _owned, ladder_ops, number_op
+from .fockspace import HilbertSpec, LinearOp, PureState, ladder_ops, number_op
 
 CLAMP_EPS = 1e-12
 CENTRAL_DIFF_H = 1e-6
@@ -50,7 +50,7 @@ def parity_shape(N: int, beta: float | np.ndarray):
 def displacement_generator(spec: HilbertSpec) -> LinearOp:
     """Hermitian generator i(a^dag - a) of real displacements."""
     lower, upper = ladder_ops(spec)
-    return LinearOp(_owned(1j * (upper.matrix - lower.matrix)), spec)
+    return LinearOp(1j * (upper.matrix - lower.matrix), spec)
 
 
 def phase_generator(spec: HilbertSpec) -> LinearOp:

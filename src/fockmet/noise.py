@@ -18,7 +18,7 @@ import numpy as np
 
 from .composite import DeviceParams
 from .errors import AllocationLimitError, ModelBreakdownError, SubstepLimitError
-from .fockspace import HilbertSpec, LinearOp, MixedState, _displaced_fock, _owned
+from .fockspace import HilbertSpec, LinearOp, MixedState, _displaced_fock
 from .metrology import gain_db_from_precision, parity_shape
 
 
@@ -40,12 +40,17 @@ class LindbladSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "jumps", tuple(self.jumps))
-        if any(rate < 0 for _, rate in self.jumps):
-            raise ValueError("jump rates must be non-negative")
+        _check_jumps(self.jumps, self.hamiltonian)
         if self.dt <= 0 or self.dt > self.duration:
             raise ValueError("need 0 < dt <= duration")
-        for op, _ in self.jumps:
-            _check_dim("jump operator", op.spec.dim, self.hamiltonian)
+
+
+def _check_jumps(jumps, hamiltonian: LinearOp) -> None:
+    """Raise ValueError for a negative rate, then for a jump whose dimension differs from H's."""
+    if any(rate < 0 for _, rate in jumps):
+        raise ValueError("jump rates must be non-negative")
+    for op, _ in jumps:
+        _check_dim("jump operator", op.spec.dim, hamiltonian)
 
 
 def _check_dim(name: str, dim: int, hamiltonian: LinearOp) -> None:
@@ -370,7 +375,7 @@ def lindblad_evolve(rho: MixedState, spec: LindbladSpec) -> MixedState:
     dim = rho.spec.dim
     propagate = _propagator(spec.hamiltonian, spec.jumps, spec.duration)
     state = propagate(rho.matrix.reshape(-1)).reshape(dim, dim)
-    out = MixedState(_owned(0.5 * (state + state.conj().T)), rho.spec)
+    out = MixedState(0.5 * (state + state.conj().T), rho.spec)
     out.check_physical()
     return out
 
@@ -491,8 +496,9 @@ def perturbation_first_order(
     caches them as ``lindblad_evolve`` caches its propagator (an operator
     rebuilt with equal contents misses).  Each call is left with rho0 in
     the eigenbasis, the unitary guard, one gather and one sum.  ValueError
-    is raised when a jump or rho0_of_t(0) differs from H in dimension, and
-    when H is not Hermitian.
+    is raised for a negative jump rate, as ``LindbladSpec`` raises it, when
+    a jump or rho0_of_t(0) differs from H in dimension, and when H is not
+    Hermitian.
     """
     for _, rate in jumps:
         if rate * T > 0.3:
@@ -500,8 +506,7 @@ def perturbation_first_order(
             warnings.warn(message, stacklevel=2)
     if num_points < 5:
         raise ValueError("num_points must be at least 5")
-    for op, _ in jumps:
-        _check_dim("jump operator", op.spec.dim, hamiltonian)
+    _check_jumps(jumps, hamiltonian)
     rho0 = np.asarray(rho0_of_t(0.0))
     _check_dim("rho0_of_t(0)", len(rho0), hamiltonian)
 
@@ -617,11 +622,11 @@ def _parity_operators(spec: HilbertSpec, T_M: float) -> tuple[LinearOp, ...]:
     matrices = (
         h,
         np.kron(eye2, lower.matrix),
-        np.kron(eye2, np.diag(n_diag).astype(complex)),
-        np.kron(sig_minus, eye_c).astype(complex),
-        np.kron(proj_e, eye_c).astype(complex),
+        np.kron(eye2, np.diag(n_diag)),
+        np.kron(sig_minus, eye_c),
+        np.kron(proj_e, eye_c),
     )
-    return tuple(LinearOp(_owned(m), cspec) for m in matrices)
+    return tuple(LinearOp(m, cspec) for m in matrices)
 
 
 def qubit_cavity_parity_setup(
@@ -646,7 +651,7 @@ def qubit_cavity_parity_setup(
     hamiltonian, *ops = _parity_operators(spec, params.T_M)
     half = _displaced_fock(beta, N, spec) * (1.0 / math.sqrt(2.0))
     psi = np.concatenate((half, half))  # |+> kron D(beta)|N>
-    rho = MixedState(_owned(np.outer(psi, psi.conj())), hamiltonian.spec)
+    rho = MixedState(np.outer(psi, psi.conj()), hamiltonian.spec)
     rates = (params.kappa1, params.kappa2, params.kappa3, params.kappa4)
     return rho, hamiltonian, list(zip(ops, rates))
 

@@ -461,6 +461,19 @@ def test_exact_phase_sweep_loads_no_numpy_random(tmp_path):
     assert out.stdout.strip().splitlines()[-1] == "False"
 
 
+def test_exact_spectroscopy_signal_loads_no_numpy_random():
+    # shots=None draws no shots, so the library call builds no generator.
+    code = (
+        "import sys, numpy as np; from fockmet import DeviceParams; "
+        "from fockmet.composite import spectroscopy_signal; "
+        "spectroscopy_signal(np.array([1.0]), np.linspace(-1e6, 1e6, 5), DeviceParams(), 0.1e6, seed=3); "
+        "print('numpy.random' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
     # The same config run as two processes, with one and with two BLAS
     # threads, writes the same bytes.

@@ -179,6 +179,15 @@ class TestShotRecord:
         assert rec.grid.dtype == float and rec.pg.dtype == float
         np.testing.assert_array_equal(rec.grid, [0.0, 1.0, 2.0])
 
+    def test_keeps_read_only_copies(self):
+        # Writes to the caller's float arrays after construction never reach the record.
+        grid, pg = np.linspace(0.0, 1.0, 3), np.full(3, 0.5)
+        rec = ShotRecord(grid=grid, pg=pg, shots=10, model=Parameter.BETA, N=2)
+        grid[0], pg[0] = 0.7, 0.9
+        np.testing.assert_array_equal(rec.grid, [0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(rec.pg, [0.5, 0.5, 0.5])
+        assert not rec.grid.flags.writeable and not rec.pg.flags.writeable
+
     @pytest.mark.parametrize(
         "grid, pg",
         [

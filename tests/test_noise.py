@@ -818,6 +818,13 @@ class TestPerturbationFirstOrder:
         with pytest.raises(ValueError, match=r"^rho0_of_t\(0\) has dim 32, the Hamiltonian has dim 16$"):
             perturbation_first_order(unitary_evolution(wide_rho, wide_h), h, jumps, params.T_M)
 
+    def test_rejects_negative_rates(self):
+        params = DeviceParams()
+        rho, h, jumps = qubit_cavity_parity_setup(1, 0.1, params, HilbertSpec(8, 0))
+        negated = [(op, -rate) for op, rate in jumps]
+        with pytest.raises(ValueError, match=r"^jump rates must be non-negative$"):
+            perturbation_first_order(unitary_evolution(rho, h), h, negated, params.T_M)
+
     def test_warns_outside_validity(self):
         spec = HilbertSpec(4, 0)
         rho, h, jumps = qubit_cavity_parity_setup(1, 0.1, DeviceParams(), spec)
