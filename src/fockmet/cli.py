@@ -5,10 +5,11 @@ grid fields, each with a parser and a default or marked required.  ``run``
 parses the grids through that table, computes in a single thread and
 writes the results; ``validate`` is a dry run of the same parse and compute
 that writes nothing, so it rejects exactly what ``run`` rejects.  The
-closed-form sweeps evaluate their whole grid in one array call.  Shot noise
-is drawn from one generator per run, seeded from the config, in grid order,
-so identical configs produce byte-identical outputs.  ``--threads`` is
-accepted for compatibility and changes nothing.
+closed-form sweeps evaluate their whole grid in one array call, and the
+two sensing sweeps take their Fisher column from the curve's analytic
+slope.  Shot noise is drawn from one generator per run, seeded from the
+config, in grid order, so identical configs produce byte-identical
+outputs.  ``--threads`` is accepted for compatibility and changes nothing.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .metrology import (
     parity_curve_deriv,
     parity_curve_ideal,
     parity_shape,
+    phase_curve_deriv,
     phase_curve_ideal,
     weighted_fisher,
 )
@@ -276,30 +278,25 @@ def _shot_rng(config: RunConfig):
     return None if config.shots is None else np.random.default_rng(config.seed)
 
 
+def _sensing_rows(config: RunConfig, grid, curve, slope):
+    """(grid, p_g, Fisher) rows of a closed-form sensing curve, each column one array call."""
+    pg = sample_shots(curve(grid), config.shots, _shot_rng(config))
+    return list(zip(grid, pg, cfi_of_curve(curve, grid, slope)))
+
+
 def _run_displacement_sweep(config: RunConfig, N, beta):
-    pg = sample_shots(parity_curve_ideal(N, beta), config.shots, _shot_rng(config))
-    # This sweep's and the phase sweep's Fisher columns stay per-point scalar
-    # calls: np.exp on an array differs from math.exp by an ulp on a few inputs
-    # (which the phase sweep's central difference amplifies by 1/(2h)), and the
-    # written digits would change.
-    fisher = [
-        cfi_of_curve(lambda x: parity_curve_ideal(N, x), float(b),
-                     lambda x: parity_curve_deriv(N, x))
-        for b in beta
-    ]
-    rows = list(zip(beta, pg, fisher))
+    rows = _sensing_rows(
+        config, beta, lambda x: parity_curve_ideal(N, x), lambda x: parity_curve_deriv(N, x)
+    )
     columns = ["beta (dimensionless)", "p_g (probability)", "fisher (1/beta^2)"]
     return columns, rows, [default_spec(N).dim], [f"N = {N}"]
 
 
 def _run_phase_sweep(config: RunConfig, N, phi):
     gamma = math.sqrt(N) if N > 0 else 1.0
-    pg = sample_shots(phase_curve_ideal(N, gamma, phi), config.shots, _shot_rng(config))
-    fisher = [  # per point, as in _run_displacement_sweep
-        cfi_of_curve(lambda x: phase_curve_ideal(N, gamma, x), float(p))
-        for p in phi
-    ]
-    rows = list(zip(phi, pg, fisher))
+    rows = _sensing_rows(
+        config, phi, lambda x: phase_curve_ideal(N, gamma, x), lambda x: phase_curve_deriv(N, gamma, x)
+    )
     columns = ["phi (rad)", "p_g (probability)", "fisher (1/rad^2)"]
     return columns, rows, [default_spec(2 * N).dim], [f"N = {N}", f"gamma^2 = {_fmt(gamma * gamma)}"]
 

@@ -49,7 +49,7 @@ class DeviceParams:
     def __post_init__(self):
         for name in ("chi_qc", "chi2_qc", "kerr_c", "kappa1", "kappa2",
                      "kappa3", "kappa4", "T_i", "T_M", "T_D"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
         if not 0.5 <= self.readout_fidelity <= 1.0:
             raise ValueError("readout_fidelity must be in [0.5, 1]")
@@ -77,7 +77,7 @@ class FilterSpec:
         if self.kind in (FilterKind.SINUSOIDAL, FilterKind.GENERALIZED):
             if not 0.0 < self.theta <= TWO_PI:
                 raise ValueError(f"theta must be in (0, 2pi], got {self.theta}")
-        if self.kind is FilterKind.GAUSSIAN and self.sigma <= 0.0:
+        if self.kind is FilterKind.GAUSSIAN and not self.sigma > 0.0:
             raise ValueError("sigma must be positive for a Gaussian filter")
 
 

@@ -21,7 +21,6 @@ import numpy as np
 from .fockspace import HilbertSpec, LinearOp, PureState, ladder_ops, number_op
 
 CLAMP_EPS = 1e-12
-CENTRAL_DIFF_H = 1e-6
 
 # A curve of one real parameter, elementwise on a float or an array.
 Curve = Callable[[float | np.ndarray], float | np.ndarray]
@@ -69,12 +68,17 @@ def parity_curve_deriv(N: int, beta: float | np.ndarray):
 
 
 def phase_curve_ideal(N: int, gamma: float, phi: float | np.ndarray):
-    """Ideal phase-sensing curve: the parity curve at effective amplitude |phi*gamma|.
+    """Ideal phase-sensing curve: the parity curve at effective amplitude gamma*phi.
 
     Valid in the small-rotation regime where the phase acts as a
     displacement of the probe.
     """
-    return parity_curve_ideal(N, abs(phi * gamma))
+    return parity_curve_ideal(N, gamma * phi)
+
+
+def phase_curve_deriv(N: int, gamma: float, phi: float | np.ndarray):
+    """Analytic d/dphi of the ideal phase curve."""
+    return gamma * parity_curve_deriv(N, gamma * phi)
 
 
 def binary_fisher(p, slope):
@@ -87,15 +91,9 @@ def binary_fisher(p, slope):
     return fisher if np.ndim(fisher) else float(fisher)
 
 
-def cfi_of_curve(P: Curve, lam: float | np.ndarray, dP: Curve | None = None):
-    """``binary_fisher`` of the curve P at lam; ``P`` and ``dP`` must accept floats and arrays.
-
-    The derivative is central-difference with h = 1e-6 when not supplied."""
-    if dP is None:
-        slope = (P(lam + CENTRAL_DIFF_H) - P(lam - CENTRAL_DIFF_H)) / (2.0 * CENTRAL_DIFF_H)
-    else:
-        slope = dP(lam)
-    return binary_fisher(P(lam), slope)
+def cfi_of_curve(P: Curve, lam: float | np.ndarray, dP: Curve):
+    """``binary_fisher`` of the curve P with slope dP at lam; both must accept floats and arrays."""
+    return binary_fisher(P(lam), dP(lam))
 
 
 def fock_fisher(n):
@@ -208,7 +206,7 @@ def precision_report(
     lo: float,
     hi: float,
     sql_precision: float,
-    dP: Curve | None = None,
+    dP: Curve,
 ) -> PrecisionReport:
     fisher_max, argmax = maximize_fisher(lambda lam: cfi_of_curve(P, lam, dP), lo, hi)
     precision = 1.0 / math.sqrt(fisher_max)

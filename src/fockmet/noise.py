@@ -41,13 +41,13 @@ class LindbladSpec:
     def __post_init__(self):
         object.__setattr__(self, "jumps", tuple(self.jumps))
         _check_jumps(self.jumps, self.hamiltonian)
-        if self.dt <= 0 or self.dt > self.duration:
+        if not 0 < self.dt <= self.duration:
             raise ValueError("need 0 < dt <= duration")
 
 
 def _check_jumps(jumps, hamiltonian: LinearOp) -> None:
-    """Raise ValueError for a negative rate, then for a jump whose dimension differs from H's."""
-    if any(rate < 0 for _, rate in jumps):
+    """Raise ValueError for a negative or NaN rate, then for a jump whose dimension differs from H's."""
+    if not all(rate >= 0 for _, rate in jumps):
         raise ValueError("jump rates must be non-negative")
     for op, _ in jumps:
         _check_dim("jump operator", op.spec.dim, hamiltonian)
@@ -59,9 +59,7 @@ def _check_dim(name: str, dim: int, hamiltonian: LinearOp) -> None:
         raise ValueError(f"{name} has dim {dim}, the Hamiltonian has dim {hamiltonian.spec.dim}")
 
 
-def _lindblad_coo(
-    hamiltonian: np.ndarray, jumps: list[tuple[np.ndarray, float]], max_terms: float = math.inf
-):
+def _lindblad_coo(hamiltonian: np.ndarray, jumps: list[tuple[np.ndarray, float]]):
     """COO triplets (rows, cols, values) of the Lindblad generator on row-major vec(rho).
 
     ``jumps`` holds (matrix, rate) pairs.  With row-major vectorisation
@@ -72,7 +70,7 @@ def _lindblad_coo(
     arithmetic on the nonzeros of the dense A and B, nnz(A) * nnz(B)
     triplets, and duplicate positions are left for the CSR conversion to
     sum.  AllocationLimitError is raised, before any triplet is built, when
-    their count passes ``max_terms``.
+    their count passes MAX_COO_TERMS.
     """
     dim = hamiltonian.shape[0]
     eye = np.eye(dim)
@@ -82,10 +80,10 @@ def _lindblad_coo(
     pairs = [(-1j * hamiltonian - g, eye), (eye, (1j * hamiltonian - g).T)]
     pairs += [(rate * l_mat, l_mat.conj()) for l_mat, rate in jumps]
     terms = sum(np.count_nonzero(a) * np.count_nonzero(b) for a, b in pairs)
-    if terms > max_terms:
+    if terms > MAX_COO_TERMS:
         raise AllocationLimitError(
             f"the generator needs {terms:,} COO triplets ({terms * 32 / 2**30:.1f} GB), "
-            f"past the ceiling of {max_terms:,}"
+            f"past the ceiling of {MAX_COO_TERMS:,}"
         )
     rows, cols, vals = [], [], []
     for a, b in pairs:
@@ -151,7 +149,7 @@ def _liouvillian(hamiltonian: np.ndarray, jumps: list[tuple[LinearOp, float]], d
     MAX_COO_TERMS triplets.
     """
     plain = [(op.matrix, rate) for op, rate in jumps]
-    rows, cols, vals = _lindblad_coo(hamiltonian, plain, MAX_COO_TERMS)
+    rows, cols, vals = _lindblad_coo(hamiltonian, plain)
     vals *= duration
     n = hamiltonian.shape[0] ** 2
     on_diag = rows == cols
@@ -454,7 +452,7 @@ def _first_order_terms(hamiltonian: LinearOp, jumps: tuple[tuple[LinearOp, float
     h = hamiltonian.matrix
     evals, vecs = _eigh(hamiltonian)
     rotated = [(_to_eigenbasis(vecs, op.matrix), rate) for op, rate in jumps]
-    rows, cols, vals = _lindblad_coo(np.zeros_like(h), rotated, MAX_COO_TERMS)
+    rows, cols, vals = _lindblad_coo(np.zeros_like(h), rotated)
     omega = (evals[:, None] - evals[None, :]).ravel() * T
     x = omega[rows] - omega[cols]
     kernel = np.exp(0.5j * x - 1j * omega[rows]) * np.sinc(x / (2 * np.pi))

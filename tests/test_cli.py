@@ -13,6 +13,7 @@ from scipy.special import eval_laguerre
 
 from fockmet import ConfigError, DeviceParams, HilbertSpec, __version__, default_spec, fock_state, wigner_value
 from fockmet.cli import MAX_DIM, OUTDIR_ENV, RunConfig, _truncation, load_config, main, run
+from fockmet.metrology import binary_fisher, parity_curve_deriv, parity_curve_ideal
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
@@ -459,6 +460,22 @@ def test_exact_phase_sweep_loads_no_numpy_random(tmp_path):
     args = [sys.executable, "-c", code, str(config), str(tmp_path)]
     out = subprocess.run(args, env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip().splitlines()[-1] == "False"
+
+
+def test_phase_sweep_fisher_column_is_exact(tmp_path, monkeypatch):
+    # The column is the binary Fisher information of the curve with its
+    # analytic slope gamma P'(gamma phi), to the 12 significant digits
+    # written: rounding to them moves a value by up to 5e-12 relative.
+    monkeypatch.delenv(OUTDIR_ENV, raising=False)
+    path = ROOT / "configs" / "phase_sweep.yaml"
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+    rows = np.array(_csv_rows(tmp_path / "phasesweep_results.csv"), dtype=float)
+    n = load_config(path).grids["N"]
+    gamma = math.sqrt(n)
+    phi = rows[:, 0]
+    expected = binary_fisher(parity_curve_ideal(n, gamma * phi), gamma * parity_curve_deriv(n, gamma * phi))
+    assert np.count_nonzero(expected) == len(phi) - 1  # only phi = 0 is clamped
+    np.testing.assert_allclose(rows[:, 2], expected, rtol=5e-12, atol=0.0)
 
 
 def test_exact_spectroscopy_signal_loads_no_numpy_random():

@@ -94,6 +94,10 @@ class TestDeviceParams:
         with pytest.raises(ValueError):
             DeviceParams(kappa1=-1.0)
 
+    def test_rejects_nan_rate(self):
+        with pytest.raises(ValueError, match="^kappa1 must be non-negative$"):
+            DeviceParams(kappa1=math.nan)
+
     def test_rejects_bad_readout_fidelity(self):
         with pytest.raises(ValueError):
             DeviceParams(readout_fidelity=0.4)
@@ -109,6 +113,10 @@ class TestFilterSpec:
     def test_gaussian_requires_positive_sigma(self):
         with pytest.raises(ValueError):
             gaussian_filter(0, 0.0)
+
+    def test_gaussian_rejects_nan_sigma(self):
+        with pytest.raises(ValueError, match="^sigma must be positive for a Gaussian filter$"):
+            gaussian_filter(3, math.nan)
 
     def test_rejects_negative_target(self):
         with pytest.raises(ValueError):

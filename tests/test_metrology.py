@@ -31,7 +31,15 @@ from fockmet.metrology import (
     maximize_fisher,
     parity_curve_deriv,
     parity_shape,
+    phase_curve_deriv,
 )
+
+CENTRAL_DIFF_H = 1e-6
+
+
+def _central_difference(P):
+    """Reference slope of the curve P: a central difference with h = 1e-6."""
+    return lambda x: (P(x + CENTRAL_DIFF_H) - P(x - CENTRAL_DIFF_H)) / (2.0 * CENTRAL_DIFF_H)
 
 
 def _shape_oracle(n, x):
@@ -104,18 +112,31 @@ class TestParityCurve:
     def test_phase_curve_is_rescaled_parity(self):
         assert phase_curve_ideal(5, 3.0, 0.1) == pytest.approx(parity_curve_ideal(5, 0.3))
 
+    @pytest.mark.parametrize("n", [0, 1, 10, 40])
+    def test_phase_deriv_matches_central_difference(self, n):
+        gamma = math.sqrt(n) if n > 0 else 1.0
+        P = lambda x: phase_curve_ideal(n, gamma, x)  # noqa: E731
+        numeric = _central_difference(P)
+        for phi in (-0.3, -0.05, -0.01, 0.01, 0.05, 0.3):
+            assert phase_curve_deriv(n, gamma, phi) == pytest.approx(numeric(phi), rel=1e-6, abs=1e-8)
+            # The curve is even in phi and its slope odd, to the bit.
+            assert P(-phi) == P(phi)
+            assert phase_curve_deriv(n, gamma, -phi) == -phase_curve_deriv(n, gamma, phi)
+
 
 class TestFisher:
     def test_cfi_degenerate_point_is_zero(self):
         # even-N curve saturates at P = 1 when beta = 0
-        assert cfi_of_curve(lambda b: parity_curve_ideal(4, b), 0.0) == 0.0
+        P = lambda b: parity_curve_ideal(4, b)  # noqa: E731
+        assert cfi_of_curve(P, 0.0, lambda b: parity_curve_deriv(4, b)) == 0.0
 
     def test_cfi_numeric_matches_analytic_derivative(self):
         n, b = 3, 0.25
         analytic = cfi_of_curve(
             lambda x: parity_curve_ideal(n, x), b, lambda x: parity_curve_deriv(n, x)
         )
-        numeric = cfi_of_curve(lambda x: parity_curve_ideal(n, x), b)
+        P = lambda x: parity_curve_ideal(n, x)  # noqa: E731
+        numeric = cfi_of_curve(P, b, _central_difference(P))
         assert numeric == pytest.approx(analytic, rel=1e-5)
 
     def test_qfi_coherent_displacement(self):
@@ -143,7 +164,7 @@ class TestFisher:
     def test_cfi_on_array_matches_per_point(self, n, analytic, rtol):
         beta = np.linspace(0.0, 2.0, 401)
         P = lambda x: parity_curve_ideal(n, x)  # noqa: E731
-        dP = (lambda x: parity_curve_deriv(n, x)) if analytic else None
+        dP = (lambda x: parity_curve_deriv(n, x)) if analytic else _central_difference(P)
         on_array = cfi_of_curve(P, beta, dP)
         per_point = np.array([cfi_of_curve(P, float(b), dP) for b in beta])
         clamped = per_point == 0.0
@@ -238,8 +259,9 @@ class TestMaximization:
 
     def test_flat_curve_carries_no_fisher_information(self):
         flat = lambda b: 0.5 + 0.0 * np.asarray(b)  # noqa: E731
+        slope = lambda b: 0.0 * np.asarray(b)  # noqa: E731
         with pytest.raises(ValueError, match="no Fisher information"):
-            precision_report(Parameter.BETA, flat, 1e-3, 1.0, sql_precision=0.5)
+            precision_report(Parameter.BETA, flat, 1e-3, 1.0, sql_precision=0.5, dP=slope)
         with pytest.raises(ValueError, match="no Fisher information"):
             maximize_fisher(lambda b: 0.0 * np.asarray(b), 0.0, 1.0)
 

@@ -301,6 +301,15 @@ class TestLindbladEvolve:
         with pytest.raises(ValueError):
             LindbladSpec(zero_h, [(lower, 1.0)], duration=1.0, dt=0.0)
 
+    def test_spec_rejects_nan_rate_and_duration(self):
+        spec = HilbertSpec(2)
+        zero_h = LinearOp(np.zeros((2, 2)), spec)
+        lower, _ = ladder_ops(spec)
+        with pytest.raises(ValueError, match="^jump rates must be non-negative$"):
+            LindbladSpec(zero_h, [(lower, math.nan)], duration=1.0, dt=0.1)
+        with pytest.raises(ValueError, match="^need 0 < dt <= duration$"):
+            LindbladSpec(zero_h, [(lower, 1.0)], duration=math.nan, dt=0.1)
+
     def test_rejects_jumps_of_another_dim(self):
         h = LinearOp(np.zeros((16, 16)), HilbertSpec(16))
         lower, _ = ladder_ops(HilbertSpec(32))
@@ -713,16 +722,18 @@ class TestFirstOrderAllocationGuard:
         rho1 = _first_order(h, jumps, rho0, 0.4)
         assert np.max(np.abs(rho1 - _dense_van_loan(h, jumps, rho0, 0.4))) <= 1e-12
 
-    def test_parity_model_at_n400_is_far_below_the_ceiling(self):
+    def test_parity_model_at_n400_is_far_below_the_ceiling(self, monkeypatch):
         # Both assemblies: the jump generator of the first-order term (H = 0)
         # and the Liouvillian of the propagator (the diagonal H).
+        ceiling = noise.MAX_COO_TERMS
         _, h, jumps = qubit_cavity_parity_setup(400, 0.2, DeviceParams(), default_spec(400))
         plain = [(op.matrix, rate) for op, rate in jumps]
+        monkeypatch.setattr(noise, "MAX_COO_TERMS", 0)
         for ham in (np.zeros_like(h.matrix), h.matrix):
             with pytest.raises(AllocationLimitError) as info:
-                noise._lindblad_coo(ham, plain, 0)
+                noise._lindblad_coo(ham, plain)
             terms = int(re.search(r"needs ([\d,]+) COO", str(info.value)).group(1).replace(",", ""))
-            assert 5e6 < terms < noise.MAX_COO_TERMS / 6
+            assert 5e6 < terms < ceiling / 6
 
 
 class TestPropagatorAllocationGuard:
@@ -824,6 +835,13 @@ class TestPerturbationFirstOrder:
         negated = [(op, -rate) for op, rate in jumps]
         with pytest.raises(ValueError, match=r"^jump rates must be non-negative$"):
             perturbation_first_order(unitary_evolution(rho, h), h, negated, params.T_M)
+
+    def test_rejects_nan_rates(self):
+        params = DeviceParams()
+        rho, h, jumps = qubit_cavity_parity_setup(1, 0.1, params, HilbertSpec(8, 0))
+        poisoned = [(op, math.nan) for op, _ in jumps]
+        with pytest.raises(ValueError, match=r"^jump rates must be non-negative$"):
+            perturbation_first_order(unitary_evolution(rho, h), h, poisoned, params.T_M)
 
     def test_warns_outside_validity(self):
         spec = HilbertSpec(4, 0)
