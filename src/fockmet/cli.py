@@ -63,6 +63,9 @@ _REQUIRED = object()  # default of a field the config must give
 # |alpha|^2 ~ 1490 (dim ~ 1740), so no amplitude that can run is refused.
 MAX_DIM = 2048
 
+# Most points in a grid, and rows (grid sizes' product); shipped configs use <= 3,721.
+_MAX_GRID_POINTS = 10**6
+
 
 @dataclass
 class RunConfig:
@@ -152,6 +155,8 @@ def _grid(entry, context: str, item=_number) -> np.ndarray:
         start, stop, step = _parse_fields(entry, bounds, context).values()
         if step <= 0:
             raise ConfigError(f"{context}.step", "must be positive")
+        if (stop - start) / step >= _MAX_GRID_POINTS:
+            raise ConfigError(context, f"has more than {_MAX_GRID_POINTS:,} points")
         entry = start + step * np.arange(int(round((stop - start) / step)) + 1)
     elif isinstance(entry, list):
         entry = [item(value, f"{context}[{i}]") for i, value in enumerate(entry)]
@@ -173,8 +178,8 @@ def _mapping(value, context: str) -> dict:
 
 
 def _shots(value, context: str) -> int:
-    if not _is_int(value) or value <= 0:
-        raise ConfigError(context, "must be a positive integer or null")
+    if not _is_int(value) or not 0 < value < 2**63:
+        raise ConfigError(context, "must be a positive integer below 2^63, or null")
     return value
 
 
@@ -228,17 +233,15 @@ def _write_csv(path: Path, header_lines: list[str], columns: list[str], rows) ->
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _provenance(config: RunConfig, dims: list[int], extra: list[str] | None = None) -> list[str]:
-    lines = [
+def _provenance(config: RunConfig, dims: list[int], extra: list[str]) -> list[str]:
+    return [
         f"fockmet version = {__version__}",
         f"experiment = {config.experiment}",
         f"seed = {config.seed}",
         f"shots = {config.shots if config.shots is not None else 'exact'}",
         f"truncation dims = {' '.join(str(d) for d in dims)}",
+        *extra,
     ]
-    if extra:
-        lines.extend(extra)
-    return lines
 
 
 # Filter kind -> (constructor, fields after the target photon number).
@@ -434,7 +437,11 @@ _EXPERIMENT_TABLE = {
 def _compute(config: RunConfig):
     """Parse the grids through the table and run the experiment; writes nothing."""
     runner, fields = _EXPERIMENT_TABLE[config.experiment]
-    return runner(config, **_parse_fields(config.grids, fields, "grids"))
+    grids = _parse_fields(config.grids, fields, "grids")
+    sizes = {f"grids.{name}": g.size for name, g in grids.items() if isinstance(g, np.ndarray)}
+    if math.prod(sizes.values()) > _MAX_GRID_POINTS:
+        raise ConfigError(" x ".join(sizes), f"has more than {_MAX_GRID_POINTS:,} rows")
+    return runner(config, **grids)
 
 
 def run(config: RunConfig, out_dir: str | Path | None = None, threads: int = 1) -> list[Path]:

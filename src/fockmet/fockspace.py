@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import InteriorAccuracyError, TruncationError
 
-NORM_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-8
 EIGENVALUE_FLOOR = -1e-8

@@ -41,8 +41,8 @@ class LindbladSpec:
     def __post_init__(self):
         object.__setattr__(self, "jumps", tuple(self.jumps))
         _check_jumps(self.jumps, self.hamiltonian)
-        if not 0 < self.dt <= self.duration:
-            raise ValueError("need 0 < dt <= duration")
+        if not 0 < self.dt <= self.duration < math.inf:
+            raise ValueError("need 0 < dt <= duration < inf")
 
 
 def _check_jumps(jumps, hamiltonian: LinearOp) -> None:
@@ -440,23 +440,20 @@ def _rotate(evals: np.ndarray, vecs: np.ndarray | None, rho_eig: np.ndarray, t: 
 
 
 @functools.lru_cache(maxsize=2)
-def _first_order_terms(hamiltonian: LinearOp, jumps: tuple[tuple[LinearOp, float], ...], T: float):
-    """(evals, vecs, pairs, cols, vals, kernel) of ``perturbation_first_order``, cached per generator.
+def _first_order_map(hamiltonian: LinearOp, jumps: tuple[tuple[LinearOp, float], ...], T: float):
+    """The map vec(rho0~) -> vec(rho1~) of ``perturbation_first_order``, cached per generator.
 
-    eigh(H) = (evals, vecs) from ``_eigh``, the COO triplets of the jump
-    generator with the jumps rotated into H's eigenbasis (their rows as
-    ``_pair_index`` pairs), and each triplet's sinc kernel over the window T.
-    AllocationLimitError is raised, before the triplets are built, when they
-    would number more than MAX_COO_TERMS.
+    ``_block_propagator``'s shape: the jump generator's COO triplets in H's
+    eigenbasis (``_eigh``, ``_lindblad_coo``), each weighted by T times its
+    sinc kernel over the window.
     """
-    h = hamiltonian.matrix
     evals, vecs = _eigh(hamiltonian)
     rotated = [(_to_eigenbasis(vecs, op.matrix), rate) for op, rate in jumps]
-    rows, cols, vals = _lindblad_coo(np.zeros_like(h), rotated)
+    rows, cols, vals = _lindblad_coo(np.zeros_like(hamiltonian.matrix), rotated)
     omega = (evals[:, None] - evals[None, :]).ravel() * T
     x = omega[rows] - omega[cols]
     kernel = np.exp(0.5j * x - 1j * omega[rows]) * np.sinc(x / (2 * np.pi))
-    return evals, vecs, _pair_index(rows), cols, vals, kernel
+    return functools.partial(_gather_sum, _pair_index(rows), cols, T * vals * kernel)
 
 
 def perturbation_first_order(
@@ -489,26 +486,26 @@ def perturbation_first_order(
     mismatch at T above 1e-9 raises ValueError.  ``num_points`` is validated
     but ignored.  Warns when any kappa_m * T exceeds 0.3.
 
-    eigh(H), the rotated jump generator's triplets and the kernel depend
-    only on H, the jumps with their rates and T; ``_first_order_terms``
-    caches them as ``lindblad_evolve`` caches its propagator (an operator
-    rebuilt with equal contents misses).  Each call is left with rho0 in
-    the eigenbasis, the unitary guard, one gather and one sum.  ValueError
-    is raised for a negative jump rate, as ``LindbladSpec`` raises it, when
-    a jump or rho0_of_t(0) differs from H in dimension, and when H is not
-    Hermitian.
+    The sum over jk is one weighted-triplet map of H, the jumps with their
+    rates and T, cached by ``_first_order_map`` as ``lindblad_evolve``
+    caches its propagator; each call is left with rho0 in the eigenbasis,
+    the unitary guard, one gather and one sum.  ValueError is raised, before
+    any cache lookup, for a non-finite T and for a negative jump rate; then
+    when a jump or rho0_of_t(0) differs from H in dimension, and when H is
+    not Hermitian.
     """
+    if not math.isfinite(T):
+        raise ValueError(f"T must be finite, got {T}")
     for _, rate in jumps:
         if rate * T > 0.3:
-            message = f"kappa*T = {rate * T:.3g} > 0.3; first-order expansion unreliable"
-            warnings.warn(message, stacklevel=2)
+            warnings.warn(f"kappa*T = {rate * T:.3g} > 0.3; first-order expansion unreliable", stacklevel=2)
     if num_points < 5:
         raise ValueError("num_points must be at least 5")
     _check_jumps(jumps, hamiltonian)
     rho0 = np.asarray(rho0_of_t(0.0))
     _check_dim("rho0_of_t(0)", len(rho0), hamiltonian)
 
-    evals, vecs, pairs, cols, vals, kernel = _first_order_terms(hamiltonian, tuple(jumps), T)
+    evals, vecs = _eigh(hamiltonian)
     rho_eig = _to_eigenbasis(vecs, rho0)
     mismatch = float(np.max(np.abs(_rotate(evals, vecs, rho_eig, T) - rho0_of_t(T))))
     if mismatch > 1e-9:
@@ -516,9 +513,8 @@ def perturbation_first_order(
             "rho0_of_t is not the unitary evolution under hamiltonian: "
             f"deviation {mismatch:.2e} at T"
         )
-    terms = vals * rho_eig.ravel()[cols] * kernel
-    rho1 = _sum_at(pairs, terms, rho_eig.size)
-    return T * _from_eigenbasis(vecs, rho1.reshape(rho_eig.shape))
+    rho1 = _first_order_map(hamiltonian, tuple(jumps), T)(rho_eig.ravel())
+    return _from_eigenbasis(vecs, rho1.reshape(rho_eig.shape))
 
 
 def parity_prob_noisy(N: int, beta: float, params: DeviceParams) -> float:

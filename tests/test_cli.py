@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +56,19 @@ BAD_GRIDS = [
                  id="string-start"),
     pytest.param({"experiment": "ResolvedSweep", "grids": {"alpha": "1.5", "m": 3}}, "grids.alpha",
                  id="string-alpha"),
+    # Grids past the point ceiling, counted before anything is allocated.
+    pytest.param({"experiment": "DisplacementSweep",
+                  "grids": {"N": 2, "beta": {"start": 0.0, "stop": 1.0e12, "step": 1.0e-12}}},
+                 "grids.beta: has more than 1,000,000 points", id="range-past-ceiling"),
+    pytest.param({"experiment": "RamseyScan",
+                  "grids": {"n_values": [3], "theta": {"start": 0.0, "stop": 1.0e9, "step": 1.0}}},
+                 "grids.theta: has more than 1,000,000 points", id="ramsey-theta-past-ceiling"),
+    pytest.param({"experiment": "RamseyScan", "grids": {"n_values": {"start": 0, "stop": 1999, "step": 1},
+                  "theta": {"start": 0.0, "stop": 1.0, "step": 0.002}}},
+                 "grids.n_values x grids.theta: has more than 1,000,000 rows", id="ramsey-rows-past-ceiling"),
+    pytest.param({"experiment": "WignerMap", "grids": {"N": 2, "re": {"start": -4.0, "stop": 4.0, "step": 1.0e-4},
+                  "im": {"start": -4.0, "stop": 4.0, "step": 1.0e-4}}},
+                 "grids.re x grids.im: has more than 1,000,000 rows", id="wigner-rows-past-ceiling"),
 ]
 
 # Each config with a substring of the one stderr line both commands must print.
@@ -144,15 +159,23 @@ class TestLoadConfig:
         assert "experiment" in str(err.value)
 
     def test_unknown_device_field(self, tmp_path):
-        bad = dict(DISPLACEMENT, device={"kappa9": 1.0})
-        with pytest.raises(ConfigError) as err:
-            load_config(_write_config(tmp_path / "c.yaml", bad))
-        assert "kappa9" in str(err.value)
+        # kerr_c was a device field that no model read.
+        for name in ("kappa9", "kerr_c"):
+            bad = dict(DISPLACEMENT, device={name: 1.0})
+            with pytest.raises(ConfigError) as err:
+                load_config(_write_config(tmp_path / "c.yaml", bad))
+            assert str(err.value) == f"device.{name}: unknown field"
 
-    def test_bad_shots(self, tmp_path):
-        bad = dict(DISPLACEMENT, shots=-5)
-        with pytest.raises(ConfigError):
-            load_config(_write_config(tmp_path / "c.yaml", bad))
+    def test_bad_shots(self, tmp_path, capsys):
+        # 10**20 passes int but not the binomial sampler's int64.
+        for shots in (-5, 10**20):
+            path = _write_config(tmp_path / "c.yaml", dict(DISPLACEMENT, shots=shots))
+            with pytest.raises(ConfigError):
+                load_config(path)
+            assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err.strip()
+            assert err.startswith("config error: shots: ") and len(err.splitlines()) == 1
+            assert not (tmp_path / "out").exists()
 
     def test_bad_seed(self, tmp_path):
         bad = dict(DISPLACEMENT, seed="abc")
@@ -408,7 +431,15 @@ class TestMain:
     @pytest.mark.parametrize("payload, field", BAD_GRIDS)
     def test_run_rejects_bad_grid(self, tmp_path, capsys, payload, field):
         path = _write_config(tmp_path / "c.yaml", payload)
-        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code = main(["run", path, "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # At most the parsed grids (2 x 0.64 MB for the Wigner map), never the sweep.
+        assert code == 2 and peak < 2**22 and time.perf_counter() - start < 1.0
         err = capsys.readouterr().err.strip()
         assert err.startswith("config error") and field in err and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()

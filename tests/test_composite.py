@@ -98,10 +98,6 @@ class TestDeviceParams:
         with pytest.raises(ValueError, match="^kappa1 must be non-negative$"):
             DeviceParams(kappa1=math.nan)
 
-    def test_rejects_bad_readout_fidelity(self):
-        with pytest.raises(ValueError):
-            DeviceParams(readout_fidelity=0.4)
-
 
 class TestFilterSpec:
     def test_sinusoidal_requires_theta_in_range(self):

@@ -307,8 +307,9 @@ class TestLindbladEvolve:
         lower, _ = ladder_ops(spec)
         with pytest.raises(ValueError, match="^jump rates must be non-negative$"):
             LindbladSpec(zero_h, [(lower, math.nan)], duration=1.0, dt=0.1)
-        with pytest.raises(ValueError, match="^need 0 < dt <= duration$"):
-            LindbladSpec(zero_h, [(lower, 1.0)], duration=math.nan, dt=0.1)
+        for duration in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"^need 0 < dt <= duration < inf$"):
+                LindbladSpec(zero_h, [(lower, 1.0)], duration=duration, dt=0.1)
 
     def test_rejects_jumps_of_another_dim(self):
         h = LinearOp(np.zeros((16, 16)), HilbertSpec(16))
@@ -390,7 +391,7 @@ def _noise_outputs(rho, h, jumps, t):
     return evolved.matrix.tobytes(), rho1.tobytes()
 
 
-_CACHES = (noise._propagator, noise._first_order_terms)
+_CACHES = (noise._propagator, noise._first_order_map)
 
 
 def _clear_caches():
@@ -624,17 +625,16 @@ class TestUnitaryEvolution:
             rho, h, jumps, t = model()
             _clear_caches()
             rho0_of_t = unitary_evolution(rho, h)
-            perturbation_first_order(rho0_of_t, h, jumps, t)
-            info = noise._eigh.cache_info()
-            assert (info.misses, info.hits) == (1, 1)
+            for _ in range(2):
+                perturbation_first_order(rho0_of_t, h, jumps, t)
+            assert noise._eigh.cache_info().misses == 1
+            assert noise._first_order_map.cache_info().misses == 1
             evals, vecs = noise._eigh(h)
             assert not evals.flags.writeable
             if model is _parity_model:
                 assert vecs is None  # diagonal H: the eigenbasis is the basis, nothing to rotate
             else:
                 assert not vecs.flags.writeable
-            terms = noise._first_order_terms(h, tuple(jumps), t)
-            assert terms[0] is evals and terms[1] is vecs
 
     def test_dense_path_is_the_diagonal_path_in_a_rotated_basis(self):
         # The parity model's H is diagonal, with eigenvalue 0 seven-fold; turned
@@ -672,6 +672,9 @@ class TestUnitaryEvolution:
         rho1 = perturbation_first_order(rho0_of_t, h, jumps, params.T_M)
         assert calls == []
         assert abs(np.trace(rho1)) < 1e-12 and np.max(np.abs(rho1)) > 1e-4
+        # The cache keeps one weighted-triplet map, 40 B per triplet: 22.1 MiB here.
+        apply = noise._first_order_map(h, tuple(jumps), params.T_M)
+        assert sum(a.nbytes for a in apply.args) == 40 * 579_608
 
     def test_matches_expm(self):
         spec = HilbertSpec(8)
@@ -717,7 +720,7 @@ class TestFirstOrderAllocationGuard:
         message = r"^the generator needs 3,024 COO triplets .* past the ceiling of 3,023$"
         with pytest.raises(AllocationLimitError, match=message):
             _first_order(h, jumps, rho0, 0.4)
-        assert noise._first_order_terms.cache_info().currsize == 0
+        assert noise._first_order_map.cache_info().currsize == 0
         monkeypatch.setattr(noise, "MAX_COO_TERMS", 3024)
         rho1 = _first_order(h, jumps, rho0, 0.4)
         assert np.max(np.abs(rho1 - _dense_van_loan(h, jumps, rho0, 0.4))) <= 1e-12
@@ -758,6 +761,18 @@ class TestPropagatorAllocationGuard:
 
 
 class TestPerturbationFirstOrder:
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_non_finite_window_before_any_cache_lookup(self, t):
+        # At the parent a NaN window gave an all-NaN rho1 and an infinite one only warned.
+        rho, h, jumps, _ = _parity_model()
+        rho0_of_t = unitary_evolution(rho, h)
+        _clear_caches()
+        with pytest.raises(ValueError, match=f"^T must be finite, got {t}$"):
+            perturbation_first_order(rho0_of_t, h, jumps, t)
+        for cache in (noise._eigh, noise._first_order_map):
+            info = cache.cache_info()
+            assert info.hits == info.misses == 0
+
     def test_correction_is_traceless_and_small(self):
         params = _scaled_params(0.02)
         spec = HilbertSpec(12, 0)
