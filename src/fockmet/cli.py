@@ -216,21 +216,24 @@ def load_config(path: str | Path) -> RunConfig:
         return RunConfig(**_parse_fields(yaml.safe_load(fh), _CONFIG_FIELDS))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.12g}"
+# Rows formatted per write: the writer holds the text of one block, never of the whole table.
+_BLOCK_ROWS = 2**16
 
 
-def _write_csv(path: Path, header_lines: list[str], columns: list[str], rows) -> None:
+def _write_csv(path: Path, header_lines: list[str], table: dict[str, np.ndarray]) -> None:
+    """Write ``table`` (column name -> 1-D array, one length for all) below ``# `` header lines.
+
+    A float cell is written to 12 significant digits, an int or a string as
+    it is.  Each column is formatted once, _BLOCK_ROWS rows at a time.
+    """
+    columns = list(table.values())
     with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(f"# {line}\n" for line in header_lines)
+        fh.write(",".join(table) + "\n")
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = [column[start : start + _BLOCK_ROWS] for column in columns]
+            cells = [map("{:.12g}".format if c.dtype.kind == "f" else str, c.tolist()) for c in block]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _provenance(config: RunConfig, dims: list[int], extra: list[str]) -> list[str]:
@@ -281,43 +284,41 @@ def _shot_rng(config: RunConfig):
     return None if config.shots is None else np.random.default_rng(config.seed)
 
 
-def _sensing_rows(config: RunConfig, grid, curve, slope):
-    """(grid, p_g, Fisher) rows of a closed-form sensing curve, each column one array call."""
+def _sensing_table(config: RunConfig, columns: list[str], grid, curve, slope) -> dict:
+    """The (grid, p_g, Fisher) ``columns`` of a closed-form sensing curve, each one array call."""
     pg = sample_shots(curve(grid), config.shots, _shot_rng(config))
-    return list(zip(grid, pg, cfi_of_curve(curve, grid, slope)))
+    return dict(zip(columns, (grid, pg, cfi_of_curve(curve, grid, slope))))
 
 
 def _run_displacement_sweep(config: RunConfig, N, beta):
-    rows = _sensing_rows(
-        config, beta, lambda x: parity_curve_ideal(N, x), lambda x: parity_curve_deriv(N, x)
-    )
     columns = ["beta (dimensionless)", "p_g (probability)", "fisher (1/beta^2)"]
-    return columns, rows, [default_spec(N).dim], [f"N = {N}"]
+    curve, slope = (lambda x: parity_curve_ideal(N, x)), (lambda x: parity_curve_deriv(N, x))
+    return _sensing_table(config, columns, beta, curve, slope), [default_spec(N).dim], [f"N = {N}"]
 
 
 def _run_phase_sweep(config: RunConfig, N, phi):
     gamma = math.sqrt(N) if N > 0 else 1.0
-    rows = _sensing_rows(
-        config, phi, lambda x: phase_curve_ideal(N, gamma, x), lambda x: phase_curve_deriv(N, gamma, x)
-    )
     columns = ["phi (rad)", "p_g (probability)", "fisher (1/rad^2)"]
-    return columns, rows, [default_spec(2 * N).dim], [f"N = {N}", f"gamma^2 = {_fmt(gamma * gamma)}"]
+    curve, slope = (lambda x: phase_curve_ideal(N, gamma, x)), (lambda x: phase_curve_deriv(N, gamma, x))
+    table = _sensing_table(config, columns, phi, curve, slope)
+    return table, [default_spec(2 * N).dim], [f"N = {N}", f"gamma^2 = {gamma * gamma:.12g}"]
 
 
 def _run_ramsey_scan(config: RunConfig, n_values, theta, target_n):
     rng = _shot_rng(config)
-    rows, extra = [], []
-    for n in n_values:
-        trace = sample_shots(ramsey_trace(n, target_n, theta), config.shots, rng)
-        for t, p in zip(theta, trace):
-            rows.append((n, t, p))
+    traces = [sample_shots(ramsey_trace(n, target_n, theta), config.shots, rng) for n in n_values]
+    extra = []
+    for n, trace in zip(n_values, traces):
         try:
-            freq = fit_ramsey_frequency(theta, trace)
-            extra.append(f"fitted frequency n={n}: {_fmt(freq)}")
+            extra.append(f"fitted frequency n={n}: {fit_ramsey_frequency(theta, trace):.12g}")
         except ValueError:
             extra.append(f"fitted frequency n={n}: none")
-    columns = ["n (photons)", "theta (rad)", "p_g (probability)"]
-    return columns, rows, [max(n_values) + 1], extra
+    table = {
+        "n (photons)": np.repeat(n_values, theta.size),
+        "theta (rad)": np.tile(theta, n_values.size),
+        "p_g (probability)": np.concatenate(traces),
+    }
+    return table, [max(n_values) + 1], extra
 
 
 def _run_prepare_fock(config: RunConfig, N, init_alpha, schedule, gaussian_sigma):
@@ -330,62 +331,57 @@ def _run_prepare_fock(config: RunConfig, N, init_alpha, schedule, gaussian_sigma
         N, schedule, spec, init_alpha=init_alpha if init_alpha is None else complex(init_alpha)
     )
     pops = state.populations()
-    rows = [(k, pops[k]) for k in range(spec.dim) if pops[k] > 1e-14]
-    columns = ["n (photons)", "population (probability)"]
+    n = np.flatnonzero(pops > 1e-14)
+    table = {"n (photons)": n, "population (probability)": pops[n]}
     extra = [
-        f"success probability = {_fmt(p_success)}",
-        f"fidelity to target = {_fmt(fidelity)}",
+        f"success probability = {p_success:.12g}",
+        f"fidelity to target = {fidelity:.12g}",
     ]
-    return columns, rows, [spec.dim], extra
+    return table, [spec.dim], extra
 
 
 def _run_resolved_sweep(config: RunConfig, alpha, m):
     spec = _truncation(int(min(abs(alpha), MAX_DIM) ** 2) + 1, "grids.alpha")
     state = coherent_state(complex(alpha), spec)
-    traces = resolve_photon_cascade(state, m)
-    rows = [
-        (t.resolved_n, "".join(str(b) for b in reversed(t.bits)), _fmt(t.probability),
-         _fmt(fock_fisher(t.resolved_n)))
-        for t in sorted(traces, key=lambda t: t.resolved_n)
-    ]
-    pops = state.populations()
-    nbar = state.mean_photon_number()
-    weighted = float(weighted_fisher(list(enumerate(pops)), fock_fisher))
-    columns = ["resolved_n (photons)", "bits (b_m..b_1)", "probability", "fisher_small_beta (1/beta^2)"]
+    traces = sorted(resolve_photon_cascade(state, m), key=lambda t: t.resolved_n)
+    resolved = np.array([t.resolved_n for t in traces])
+    table = {
+        "resolved_n (photons)": resolved,
+        "bits (b_m..b_1)": np.array(["".join(str(b) for b in reversed(t.bits)) for t in traces]),
+        "probability": np.array([t.probability for t in traces]),
+        "fisher_small_beta (1/beta^2)": fock_fisher(resolved),
+    }
+    weighted = float(weighted_fisher(list(enumerate(state.populations())), fock_fisher))
     extra = [
-        f"mean photon number = {_fmt(nbar)}",
-        f"weighted fisher = {_fmt(weighted)}",
+        f"mean photon number = {state.mean_photon_number():.12g}",
+        f"weighted fisher = {weighted:.12g}",
     ]
-    return columns, rows, [spec.dim], extra
+    return table, [spec.dim], extra
 
 
 def _run_scaling_study(config: RunConfig, N):
     fisher = fock_fisher(N)
     precisions = 1.0 / np.sqrt(fisher)
     exponent, intercept = fit_scaling_exponent(N, precisions)
-    rows = list(zip(N, fisher, precisions))
-    columns = ["N (photons)", "fisher (1/beta^2)", "delta_beta (dimensionless)"]
-    extra = [f"scaling exponent = {_fmt(exponent)}", f"scaling intercept = {_fmt(intercept)}"]
-    return columns, rows, [default_spec(int(N.max())).dim], extra
+    table = {"N (photons)": N, "fisher (1/beta^2)": fisher, "delta_beta (dimensionless)": precisions}
+    extra = [f"scaling exponent = {exponent:.12g}", f"scaling intercept = {intercept:.12g}"]
+    return table, [default_spec(int(N.max())).dim], extra
 
 
 def _run_toy_model_study(config: RunConfig, N):
     d = config.device
-    rows = []
-    for n in N:
-        r = toy_model(int(n), d)
-        rows.append((n, r.lambda1, r.lambda2, r.precision, r.gain_db))
-    columns = [
-        "N (photons)", "lambda1 (dimensionless)", "lambda2 (dimensionless)",
-        "delta_beta (dimensionless)", "gain (dB)",
-    ]
+    r = np.array([toy_model(int(n), d) for n in N]).T  # ToyModelResult fields, one row each
+    table = {
+        "N (photons)": N, "lambda1 (dimensionless)": r[0], "lambda2 (dimensionless)": r[1],
+        "delta_beta (dimensionless)": r[3], "gain (dB)": r[4],
+    }
     extra = [
-        f"2 kappa1 T_i = {_fmt(2.0 * d.kappa1 * d.T_i)}",
-        f"kappa1 T_M = {_fmt(d.kappa1 * d.T_M)}",
-        f"(kappa3+kappa4) T_M / 2 = {_fmt((d.kappa3 + d.kappa4) * d.T_M / 2.0)}",
-        f"kappa2 T_D / 6 = {_fmt(d.kappa2 * d.T_D / 6.0)}",
+        f"2 kappa1 T_i = {2.0 * d.kappa1 * d.T_i:.12g}",
+        f"kappa1 T_M = {d.kappa1 * d.T_M:.12g}",
+        f"(kappa3+kappa4) T_M / 2 = {(d.kappa3 + d.kappa4) * d.T_M / 2.0:.12g}",
+        f"kappa2 T_D / 6 = {d.kappa2 * d.T_D / 6.0:.12g}",
     ]
-    return columns, rows, [], extra
+    return table, [], extra
 
 
 def _run_wigner_map(config: RunConfig, N, re, im):
@@ -393,9 +389,8 @@ def _run_wigner_map(config: RunConfig, N, re, im):
     # W(alpha) = (2/pi) (-1)^N exp(-2|alpha|^2) L_N(4|alpha|^2); no truncation.
     re_alpha, im_alpha = (g.ravel() for g in np.meshgrid(re, im))
     wigner = (2.0 / math.pi) * (-1.0) ** N * parity_shape(N, np.hypot(re_alpha, im_alpha))[0]
-    rows = list(zip(re_alpha, im_alpha, wigner))
     columns = ["re_alpha (dimensionless)", "im_alpha (dimensionless)", "wigner (1/area)"]
-    return columns, rows, [], [f"N = {N}"]
+    return dict(zip(columns, (re_alpha, im_alpha, wigner))), [], [f"N = {N}"]
 
 
 # Experiment -> (runner, grid fields).  Each field maps to (parser, default);
@@ -454,7 +449,7 @@ def run(config: RunConfig, out_dir: str | Path | None = None, threads: int = 1) 
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     target = Path(os.environ.get(OUTDIR_ENV) or out_dir or config.output_path)
-    columns, rows, dims, extra = _compute(config)
+    table, dims, extra = _compute(config)
     stem = config.experiment.lower()
     echo_path = target / f"{stem}_config.yaml"
     csv_path = target / f"{stem}_results.csv"
@@ -462,7 +457,7 @@ def run(config: RunConfig, out_dir: str | Path | None = None, threads: int = 1) 
         target.mkdir(parents=True, exist_ok=True)
         with open(echo_path, "w") as fh:
             yaml.safe_dump(dataclasses.asdict(config), fh, sort_keys=True)
-        _write_csv(csv_path, _provenance(config, dims, extra), columns, rows)
+        _write_csv(csv_path, _provenance(config, dims, extra), table)
     except OSError as exc:
         raise ValueError(f"cannot write output {exc.filename}: {exc.strerror}") from exc
     return [echo_path, csv_path]

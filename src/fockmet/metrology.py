@@ -26,22 +26,41 @@ CLAMP_EPS = 1e-12
 Curve = Callable[[float | np.ndarray], float | np.ndarray]
 
 
+# The Laguerre recurrence divides its running values by 2^_SCALE_BITS
+# wherever they pass it: at N = 400, beta = 19 the L_k(4 beta^2) for k < N
+# pass 1e308 while exp(-2 beta^2) underflows, and inf * 0 is nan.
+_SCALE_BITS = 500
+_SCALE = 2.0**_SCALE_BITS
+
+
 def parity_shape(N: int, beta: float | np.ndarray):
     """(exp(-2 beta^2) L_N(4 beta^2), its d/dbeta), elementwise on a float or array.
 
     The displaced-parity fringe of |N>.  One loop runs the three-term
     recurrences of L_k and of the associated L_k^(1), since
-    d/dx L_N(x) = -L_{N-1}^(1)(x).
+    d/dx L_N(x) = -L_{N-1}^(1)(x).  Wherever a running value passes 2^500,
+    both pairs are divided by 2^500, which is exact, and the divisions go
+    into the envelope as exp(-2 beta^2 + s ln 2); a value that never passes
+    it is computed as if there were no scaling.
     """
     if N < 0:
         raise ValueError("N must be non-negative")
+    array = isinstance(beta, np.ndarray)
     x = 4.0 * beta * beta
-    env = (np.exp if isinstance(beta, np.ndarray) else math.exp)(-2.0 * beta * beta)
+    # Szego: |L_k(x)| <= e^{x/2} and |L_k^(1)(x)| <= (k + 1) e^{x/2} for x >= 0,
+    # so below this x no running value can pass _SCALE.
+    may_pass = 0.5 * (x.max(initial=0.0) if array else x) + math.log(N + 1) > _SCALE_BITS * math.log(2.0)
+    scaled = 0  # divisions by _SCALE so far, per element for an array
     prev, cur = 0.0, 1.0  # L_{k-2}, L_{k-1}
     prev1, cur1 = 0.0, 1.0  # L^(1)_{k-2}, L^(1)_{k-1}
     for k in range(1, N + 1):
         prev, cur = cur, ((2 * k - 1 - x) * cur - (k - 1) * prev) / k
         prev1, cur1 = cur1, ((2 * k - x) * cur1 - k * prev1) / k
+        if may_pass and np.any(big := np.maximum(abs(cur), abs(cur1)) > _SCALE):
+            step = np.where(big, 1.0 / _SCALE, 1.0) if array else (1.0 / _SCALE if big else 1.0)
+            prev, cur, prev1, cur1 = prev * step, cur * step, prev1 * step, cur1 * step
+            scaled = scaled + big
+    env = (np.exp if array else math.exp)(-2.0 * beta * beta + scaled * (_SCALE_BITS * math.log(2.0)))
     # The loop leaves L_N in cur and L^(1)_{N-1} in prev1.
     return cur * env, env * (-prev1 * 8.0 * beta - 4.0 * beta * cur)
 

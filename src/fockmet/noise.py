@@ -70,21 +70,18 @@ def _lindblad_coo(hamiltonian: np.ndarray, jumps: list[tuple[np.ndarray, float]]
     arithmetic on the nonzeros of the dense A and B, nnz(A) * nnz(B)
     triplets, and duplicate positions are left for the CSR conversion to
     sum.  AllocationLimitError is raised, before any triplet is built, when
-    their count passes MAX_COO_TERMS.
+    their count passes MAX_COO_TERMS.  The jump terms alone, nnz(L)^2 each,
+    are counted first: they also bound the products that ``_gram`` forms.
     """
     dim = hamiltonian.shape[0]
+    _check_coo_terms(sum(np.count_nonzero(l_mat) ** 2 for l_mat, _ in jumps), "at least ")
     eye = np.eye(dim)
     g = np.zeros((dim, dim), dtype=complex)
     for l_mat, rate in jumps:
-        g += 0.5 * rate * (l_mat.conj().T @ l_mat)
+        g += 0.5 * rate * _gram(l_mat)
     pairs = [(-1j * hamiltonian - g, eye), (eye, (1j * hamiltonian - g).T)]
     pairs += [(rate * l_mat, l_mat.conj()) for l_mat, rate in jumps]
-    terms = sum(np.count_nonzero(a) * np.count_nonzero(b) for a, b in pairs)
-    if terms > MAX_COO_TERMS:
-        raise AllocationLimitError(
-            f"the generator needs {terms:,} COO triplets ({terms * 32 / 2**30:.1f} GB), "
-            f"past the ceiling of {MAX_COO_TERMS:,}"
-        )
+    _check_coo_terms(sum(np.count_nonzero(a) * np.count_nonzero(b) for a, b in pairs))
     rows, cols, vals = [], [], []
     for a, b in pairs:
         a_rows, a_cols = np.nonzero(a)
@@ -93,6 +90,35 @@ def _lindblad_coo(hamiltonian: np.ndarray, jumps: list[tuple[np.ndarray, float]]
         cols.append((a_cols[:, None] * dim + b_cols).ravel())
         vals.append(np.outer(a[a_rows, a_cols], b[b_rows, b_cols]).ravel())
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _check_coo_terms(terms: int, bound: str = "") -> None:
+    """Raise AllocationLimitError when ``terms`` COO triplets pass MAX_COO_TERMS."""
+    if terms > MAX_COO_TERMS:
+        raise AllocationLimitError(
+            f"the generator needs {bound}{terms:,} COO triplets ({terms * 32 / 2**30:.1f} GB), "
+            f"past the ceiling of {MAX_COO_TERMS:,}"
+        )
+
+
+def _gram(l_mat: np.ndarray) -> np.ndarray:
+    """L^dag L from the nonzeros of a complex L, with no dense product.
+
+    Row k of L adds conj(L_ki) L_kj at (i, j) for each pair of its nonzeros,
+    which ``np.nonzero`` lists row by row.  Where each (i, j) gets at most
+    one such product, as for the jumps of ``qubit_cavity_parity_setup``, the
+    result equals the dense product to the bit.
+    """
+    dim = l_mat.shape[0]
+    rows, cols = np.nonzero(l_mat)
+    vals = l_mat[rows, cols]
+    first = np.searchsorted(rows, rows)  # where each entry's row starts
+    width = np.searchsorted(rows, rows, side="right") - first
+    left = np.repeat(np.arange(rows.size), width)
+    # The partners of entry e run over its row: first[e], first[e] + 1, ...
+    right = np.repeat(first - (np.cumsum(width) - width), width) + np.arange(left.size)
+    products = vals[left].conj() * vals[right]
+    return _sum_at(_pair_index(cols[left] * dim + cols[right]), products, dim * dim).reshape(dim, dim)
 
 
 def _pair_index(index: np.ndarray) -> np.ndarray:
@@ -187,7 +213,10 @@ MAX_SUBSTEPS = 1000
 # ``qubit_cavity_parity_setup`` keeps both sparse: about 5.2 million triplets
 # at N = 400 (dim 1080, ``default_spec``), a sixth of the ceiling.  A dense H
 # makes them dense: 2 dim^3 for H alone in the Liouvillian, nnz(L)^2 per
-# rotated jump, 1e8 already at dim 100.
+# rotated jump, 1e8 already at dim 100.  The count does not bound what is
+# built from the triplets afterwards: the block labels (``_block_labels``),
+# the CSR (``_csr``) and the propagator's blocks (``_block_propagator``,
+# bounded by MAX_PROPAGATOR_SIZE instead).
 MAX_COO_TERMS = 2**25
 # The largest max|H - H^dag| / max|H| that counts as Hermitian.
 _HERMITIAN_TOL = 1e-12

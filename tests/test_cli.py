@@ -14,7 +14,9 @@ import yaml
 from scipy.special import eval_laguerre
 
 from fockmet import ConfigError, DeviceParams, HilbertSpec, __version__, default_spec, fock_state, wigner_value
-from fockmet.cli import MAX_DIM, OUTDIR_ENV, RunConfig, _truncation, load_config, main, run
+from fockmet.cli import (
+    _BLOCK_ROWS, MAX_DIM, OUTDIR_ENV, RunConfig, _truncation, _write_csv, load_config, main, run,
+)
 from fockmet.metrology import binary_fisher, parity_curve_deriv, parity_curve_ideal
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -460,6 +462,39 @@ def test_validate_agrees_with_run(tmp_path, monkeypatch, capsys, payload, expect
     assert os.listdir(tmp_path) == ["c.yaml"]
 
 
+def test_displacement_sweep_past_the_laguerre_overflow_writes_finite_values(tmp_path, monkeypatch):
+    # At N = 400 the recurrence's L_k(4 beta^2) pass 1e308 from beta ~ 18.8;
+    # beta = 19 lies inside the fringe, whose turning point is at 20.
+    monkeypatch.delenv(OUTDIR_ENV, raising=False)
+    beta = {"start": 18.5, "stop": 20.0, "step": 0.5}
+    payload = {"experiment": "DisplacementSweep", "grids": {"N": 400, "beta": beta}}
+    assert main(["run", _write_config(tmp_path / "c.yaml", payload), "--out", str(tmp_path)]) == 0
+    rows = np.array(_csv_rows(tmp_path / "displacementsweep_results.csv"), dtype=float)
+    assert rows.shape == (4, 3)
+    assert np.all(np.isfinite(rows)) and np.all(rows[:, 2] > 0)
+
+
+def test_csv_writer_formats_each_column_by_its_dtype(tmp_path):
+    # Longer than one block; the reference is the per-value rule applied row
+    # by row: str(int), .12g of the float, and strings as they are.
+    rows = _BLOCK_ROWS + 3
+    rng = np.random.default_rng(0)
+    floats = rng.normal(size=rows) * 10.0 ** rng.integers(-20, 20, rows)
+    special = [-0.0, 1e-300, 123456789012345.0, 0.1, -2.5, math.pi]
+    floats[[0, 1, 2, _BLOCK_ROWS - 1, _BLOCK_ROWS, rows - 1]] = special
+    table = {
+        "n": np.arange(rows) * 2**40 - 7,
+        "x (unit)": floats,
+        "bits": np.array([format(k % 64, "06b") for k in range(rows)]),
+    }
+    path = tmp_path / "table.csv"
+    _write_csv(path, ["a = 1", "b = two"], table)
+    expected = "# a = 1\n# b = two\nn,x (unit),bits\n" + "".join(
+        f"{int(n)},{float(x):.12g},{b}\n" for n, x, b in zip(*table.values())
+    )
+    assert path.read_bytes() == expected.encode()
+
+
 def test_truncation_ceiling():
     # The ceiling admits the largest photon number the package is built for.
     assert _truncation(400, "grids.N") == default_spec(400)
@@ -478,17 +513,21 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_exact_phase_sweep_loads_no_numpy_random(tmp_path):
-    # shots: null draws no shots, so the run builds no generator.
-    config = ROOT / "configs" / "phase_sweep.yaml"
+@pytest.mark.parametrize(
+    "config, module",
+    [("phase_sweep", "numpy.random"), ("ramsey_scan", "numpy.random"), ("ramsey_scan", "numpy.ma")],
+)
+def test_exact_run_leaves_numpy_module_unloaded(tmp_path, config, module):
+    # shots: null draws no shots, so the run builds no generator; the Ramsey
+    # fit takes its median from a sort, as np.median would load numpy.ma.
     code = (
         "import sys; from fockmet.cli import main; "
         "code = main(['run', sys.argv[1], '--out', sys.argv[2]]); "
-        "print('numpy.random' in sys.modules); sys.exit(code)"
+        "print(sys.argv[3] in sys.modules); sys.exit(code)"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop(OUTDIR_ENV, None)
-    args = [sys.executable, "-c", code, str(config), str(tmp_path)]
+    args = [sys.executable, "-c", code, str(ROOT / "configs" / f"{config}.yaml"), str(tmp_path), module]
     out = subprocess.run(args, env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip().splitlines()[-1] == "False"
 

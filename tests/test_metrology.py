@@ -1,5 +1,6 @@
 """Sensing curves, Fisher information and precision reporting."""
 
+import decimal
 import math
 
 import numpy as np
@@ -50,6 +51,20 @@ def _shape_oracle(n, x):
     return b, math.exp(-2.0 * b * b), eval_laguerre(n, x), dlag
 
 
+def _decimal_shape(n, beta):
+    """parity_shape's recurrences and envelope in 60-digit decimal, where nothing overflows."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        b = decimal.Decimal(beta)
+        x = 4 * b * b
+        prev, cur, prev1, cur1 = 0, 1, 0, 1
+        for k in range(1, n + 1):
+            prev, cur = cur, ((2 * k - 1 - x) * cur - (k - 1) * prev) / k
+            prev1, cur1 = cur1, ((2 * k - x) * cur1 - k * prev1) / k
+        env = (-2 * b * b).exp()
+        return float(cur * env), float(env * (-prev1 * 8 * b - 4 * b * cur))
+
+
 class TestLaguerre:
     """The Laguerre recurrences inside parity_shape, checked through the envelope."""
 
@@ -88,8 +103,25 @@ class TestLaguerre:
                 rtol=1e-15, atol=0.0,
             )
 
+    # Past beta ~ 18.8 at N = 400 the L_k(4 beta^2) for k < N pass 1e308
+    # while exp(-2 beta^2) underflows; (400, 25) is about 2.6e-87.
+    @pytest.mark.parametrize("n, beta", [(400, 19.0), (400, 25.0), (1000, 20.0), (2000, 44.0)])
+    def test_matches_decimal_reference_past_the_overflow(self, n, beta):
+        expected = _decimal_shape(n, beta)
+        for got in (parity_shape(n, beta), [v[0] for v in parity_shape(n, np.array([beta]))]):
+            assert got == pytest.approx(expected, rel=2e-12, abs=0.0)
+
+    def test_decimal_reference_at_n400_beta19(self):
+        assert _decimal_shape(400, 19.0)[0] == pytest.approx(-0.0309, abs=5e-5)
+
+    def test_deriv_matches_central_difference_past_the_overflow(self):
+        numeric = _central_difference(lambda b: parity_shape(400, b)[0])
+        for beta in (18.5, 19.0, 19.5, 20.0):
+            assert parity_shape(400, beta)[1] == pytest.approx(numeric(beta), rel=1e-6, abs=1e-8)
+
     def test_scalar_call_returns_python_floats(self):
-        assert all(type(v) is float for v in parity_shape(7, 0.3))
+        for n, beta in ((7, 0.3), (400, 19.0)):  # the second one rescales
+            assert all(type(v) is float for v in parity_shape(n, beta))
 
 
 class TestParityCurve:

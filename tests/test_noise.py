@@ -725,13 +725,36 @@ class TestFirstOrderAllocationGuard:
         rho1 = _first_order(h, jumps, rho0, 0.4)
         assert np.max(np.abs(rho1 - _dense_van_loan(h, jumps, rho0, 0.4))) <= 1e-12
 
+    def test_jump_terms_past_the_ceiling_raise_before_g_is_built(self, monkeypatch):
+        # The two dense rotated jumps alone need 2 * 36^2 = 2,592 triplets,
+        # which also bounds the products that would build G.
+        monkeypatch.setattr(noise, "MAX_COO_TERMS", 2591)
+        monkeypatch.setattr(noise, "_gram", lambda l_mat: pytest.fail("G was built"))
+        h, jumps, rho0 = _random_model(6)
+        _clear_caches()
+        message = r"^the generator needs at least 2,592 COO triplets .* past the ceiling of 2,591$"
+        with pytest.raises(AllocationLimitError, match=message):
+            _first_order(h, jumps, rho0, 0.4)
+
+    def test_gram_from_nonzeros_equals_the_dense_product(self):
+        # To the bit for the parity jumps, whose products never share an entry.
+        for n in (4, 100):
+            _, _, jumps = qubit_cavity_parity_setup(n, 0.2, DeviceParams(), default_spec(n))
+            for op, _ in jumps:
+                assert noise._gram(op.matrix).tobytes() == (op.matrix.conj().T @ op.matrix).tobytes()
+        for l_mat, _ in _random_model(12)[1]:
+            dense = l_mat.conj().T @ l_mat
+            assert np.max(np.abs(noise._gram(l_mat) - dense)) <= 1e-14 * np.max(np.abs(dense))
+
     def test_parity_model_at_n400_is_far_below_the_ceiling(self, monkeypatch):
         # Both assemblies: the jump generator of the first-order term (H = 0)
         # and the Liouvillian of the propagator (the diagonal H).
         ceiling = noise.MAX_COO_TERMS
         _, h, jumps = qubit_cavity_parity_setup(400, 0.2, DeviceParams(), default_spec(400))
         plain = [(op.matrix, rate) for op, rate in jumps]
-        monkeypatch.setattr(noise, "MAX_COO_TERMS", 0)
+        # The ceiling at the jump terms' own count passes the first check, so
+        # the refusal names the full count.
+        monkeypatch.setattr(noise, "MAX_COO_TERMS", sum(np.count_nonzero(m) ** 2 for m, _ in plain))
         for ham in (np.zeros_like(h.matrix), h.matrix):
             with pytest.raises(AllocationLimitError) as info:
                 noise._lindblad_coo(ham, plain)

@@ -76,6 +76,16 @@ def test_laguerre_matches_scipy(n, x):
 
 
 @SETTINGS
+@given(n=st.integers(0, 2000), beta=st.floats(0.0, 60.0))
+def test_laguerre_envelope_obeys_szego_bound(n, beta):
+    # |exp(-x/2) L_N(x)| <= 1 for x >= 0 (Szego), here at x = 4 beta^2, as a
+    # float and as an array element; the slope is finite too.
+    for shape, slope in (parity_shape(n, beta), parity_shape(n, np.array([beta]))):
+        assert np.all(np.abs(shape) <= 1.0)
+        assert np.all(np.isfinite(slope))
+
+
+@SETTINGS
 @given(n=st.integers(0, 40), beta=st.floats(0.0, 2.0))
 def test_parity_curve_is_a_probability(n, beta):
     p = parity_curve_ideal(n, beta)
